@@ -70,6 +70,10 @@ EXIT_CLASSIFY = 1
 EXIT_VERIFY = 2
 EXIT_INPUT = 3
 
+# Largest --r for verify onr2.  A cold run takes about 4x longer per step
+# of r: on a 2-CPU machine r=7 took 4.3 s and r=8 took 18 s.
+MAX_ONR2_R = 7
+
 
 def _parser():
     p = argparse.ArgumentParser(prog="conet", description=__doc__)
@@ -82,7 +86,9 @@ def _parser():
     p.add_argument("--probe-degree", type=int, default=8)
     p.add_argument("--lambda", dest="lam", default=None, help="scalar parameter")
     p.add_argument("--t", default=None, help="deformation parameter (scalar)")
-    p.add_argument("--r", type=int, default=4, help="embedding dimension for onr2")
+    p.add_argument(
+        "--r", type=int, default=4, help=f"embedding dimension for onr2, 4 to {MAX_ONR2_R}"
+    )
     p.add_argument("--lambdas", default=None, help="comma-separated scalars")
     return p
 
@@ -216,6 +222,8 @@ def _run(args):
         ok = all(c["pass"] for c in report["clauses"])
         return report, EXIT_OK if ok else EXIT_VERIFY
     if key == ("verify", "onr2"):
+        if args.r > MAX_ONR2_R:
+            raise InvalidInput(f"--r {args.r} is above the supported maximum {MAX_ONR2_R}")
         if args.lambdas is None:
             raise InvalidInput("--lambdas is required for this command")
         lambdas = [_scalar(s, "lambdas") for s in args.lambdas.split(",")]

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import NamedTuple
 
 from . import linalg
-from .errors import InvalidParameters, VerificationFailure
+from .errors import InconsistentSystem, InvalidParameters, VerificationFailure
 from .scalar import ONE, W, ZERO, Scalar
 from .upoly import distinct_root_count
 
@@ -123,14 +124,20 @@ def truncated_codimension(gens, nv, bound):
     return len(cols) - linalg.rank(_rows_for(gens, nv, bound, index))
 
 
-def stabilized_length(gens, nv, max_bound=8):
-    """Truncated codimension once three consecutive bounds agree."""
+def _stabilization(gens, nv, max_bound=8):
+    """(length, degree): the truncated codimension once three consecutive
+    bounds agree, and the first of those three bounds."""
     vals = []
     for d in range(1, max_bound + 1):
         vals.append(truncated_codimension(gens, nv, d))
         if len(vals) >= 3 and vals[-1] == vals[-2] == vals[-3]:
-            return vals[-1]
+            return vals[-1], d - 2
     raise VerificationFailure(f"affine length did not stabilize: {vals}")
+
+
+def stabilized_length(gens, nv, max_bound=8):
+    """Truncated codimension once three consecutive bounds agree."""
+    return _stabilization(gens, nv, max_bound)[0]
 
 
 def graded_hilbert(gens, nv, upto):
@@ -142,7 +149,8 @@ def graded_hilbert(gens, nv, upto):
         rows = []
         for g in gens:
             dg = max(sum(e) for e in g)
-            assert all(sum(e) == dg for e in g), "graded_hilbert needs homogeneous input"
+            if any(sum(e) != dg for e in g):
+                raise VerificationFailure("graded_hilbert needs homogeneous input")
             if d < dg:
                 continue
             for q in monomials_of(nv, d - dg):
@@ -155,28 +163,26 @@ def graded_hilbert(gens, nv, upto):
     return tuple(out)
 
 
-def affine_support_count(gens, nv, seed=0, max_bound=8):
+def affine_support_count(gens, nv, seed=0, max_bound=8, stabilization=None):
     """Distinct points of an Artinian affine scheme, via a generic
-    multiplication operator on the truncated quotient."""
-    vals = []
-    stable = None
-    for d in range(1, max_bound + 1):
-        vals.append(truncated_codimension(gens, nv, d))
-        if len(vals) >= 3 and vals[-1] == vals[-2] == vals[-3]:
-            stable = d - 2
-            break
-    assert stable is not None, "length did not stabilize"
-    length = vals[-1]
+    multiplication operator on the truncated quotient.
+
+    `stabilization` is the (length, degree) pair of the generators when the
+    caller has already swept for it; otherwise the sweep runs here.
+    """
+    length, stable = stabilization or _stabilization(gens, nv, max_bound)
     lo_cols = monomials_upto(nv, stable)
     lo_index = {e: i for i, e in enumerate(lo_cols)}
     lo_pivots, _lo = linalg.rref(_rows_for(gens, nv, stable, lo_index))
     basis = [lo_cols[c] for c in range(len(lo_cols)) if c not in lo_pivots]
-    assert len(basis) == length
+    if len(basis) != length:
+        raise VerificationFailure(f"{len(basis)} basis monomials for length {length}")
     cols = monomials_upto(nv, stable + 1)
     index = {e: i for i, e in enumerate(cols)}
     pivots, rmat = linalg.rref(_rows_for(gens, nv, stable + 1, index))
     free = [c for c in range(len(cols)) if c not in pivots]
-    assert len(free) == length
+    if len(free) != length:
+        raise VerificationFailure(f"{len(free)} free columns for length {length}")
 
     def reduce(poly):
         v = [ZERO] * len(cols)
@@ -191,7 +197,8 @@ def affine_support_count(gens, nv, seed=0, max_bound=8):
     # transition: classes of the level-D basis in level-(D+1) coordinates
     trans = [reduce({b: ONE}) for b in basis]
     a1 = [[trans[j][i] for j in range(length)] for i in range(length)]
-    assert linalg.rank(a1) == length
+    if linalg.rank(a1) != length:
+        raise VerificationFailure("the degree-bound transition matrix is singular")
     rng = random.Random(seed)
     last = None
     for _ in range(8):
@@ -364,55 +371,86 @@ def _lin_coords(p, nv):
     return vec
 
 
-def _correct_relation(rel, names, gens, nv):
+class _Syzygies(NamedTuple):
+    """Degree-1 syzygies among the quadratic-monomial generators X_iX_j.
+
+    Column (n, v) of `matrix` holds the coefficients of x_v * n over the
+    cubic monomials.  It is a 0/1 matrix that depends only on r, so
+    build_1r2 builds it, its kernel and the kernel's Gram matrix once and
+    every misprinted relation reuses them.
+    """
+
+    free: list  # the generator names n, in column order
+    index: dict  # cubic monomial -> row
+    matrix: list
+    kernel: list  # sparse vectors {column: Scalar}
+    gram: list
+
+
+def _multiples_matrix(gens, nv):
+    """Rows over the cubic monomials, one column per (generator, variable)
+    pair, generator-major: the coefficients of x_v * g."""
+    deg3 = monomials_of(nv, 3)
+    index = {e: i for i, e in enumerate(deg3)}
+    cols = []
+    for g in gens:
+        for v in range(nv):
+            col = [ZERO] * len(deg3)
+            for e, c in amul(avar(nv, v), g).items():
+                col[index[e]] = c
+            cols.append(col)
+    return index, [list(row) for row in zip(*cols)]
+
+
+def _quadratic_syzygies(names, gens, nv):
+    free = [n for n in names if not n.startswith("h")]
+    by_name = dict(zip(names, gens))
+    index, matrix = _multiples_matrix([by_name[n] for n in free], nv)
+    kernel = [
+        {j: x for j, x in enumerate(v) if x}
+        for v in linalg.kernel_basis(matrix, len(free) * nv)
+    ]
+    gram = [
+        [sum((x * b[j] for j, x in a.items() if j in b), ZERO) for b in kernel] for a in kernel
+    ]
+    return _Syzygies(free, index, matrix, kernel, gram)
+
+
+def _correct_relation(rel, names, gens, nv, syz):
     """Closest exact syzygy with the printed h-part pinned.
 
     The coefficients of the quadratic-monomial generators are solved for
     (the printed misprints can move support between those generators), and
-    the solution nearest to the printed coefficients is selected.  Returns
-    (corrected relation, list of (generator, printed, corrected)) or None
-    when no syzygy with the pinned h-part exists.
+    the solution nearest to the printed coefficients is selected.  `syz` is
+    the _Syzygies of the generators.  Returns (corrected relation, list of
+    (generator, printed, corrected)) or (None, None) when no syzygy with the
+    pinned h-part exists.
     """
     by_name = dict(zip(names, gens))
     pinned = {n: c for n, c in rel.items() if n.startswith("h")}
-    free = [n for n in names if not n.startswith("h")]
-    deg3 = monomials_upto(nv, 3)
-    deg3 = [e for e in deg3 if sum(e) == 3]
-    index = {e: i for i, e in enumerate(deg3)}
-
-    def to_vec(p):
-        v = [ZERO] * len(deg3)
-        for e, c in p.items():
-            v[index[e]] = c
-        return v
-
-    cols = []
-    for n in free:
-        for v in range(nv):
-            cols.append(to_vec(amul(avar(nv, v), by_name[n])))
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(deg3))]
     rhs_poly = {}
     for n, c in pinned.items():
         rhs_poly = aadd(rhs_poly, amul(c, by_name[n]))
-    rhs = [-c for c in to_vec(rhs_poly)]
+    rhs = [ZERO] * len(syz.index)
+    for e, c in rhs_poly.items():
+        rhs[syz.index[e]] = -c
     try:
-        particular = linalg.solve(mat, rhs)
-    except Exception:
+        particular = linalg.solve(syz.matrix, rhs)
+    except InconsistentSystem:
         return None, None
-    kernel = linalg.kernel_basis(mat, len(cols))
     printed_vec = []
-    for n in free:
+    for n in syz.free:
         printed_vec.extend(_lin_coords(rel.get(n, {}), nv))
     diff = [p - q for p, q in zip(printed_vec, particular)]
-    if kernel:
-        gram = [[_dot(a, b) for b in kernel] for a in kernel]
-        b = [_dot(diff, a) for a in kernel]
-        coeffs = linalg.solve(gram, b)
-        for c, kv in zip(coeffs, kernel):
-            particular = [p + c * k for p, k in zip(particular, kv)]
+    if syz.kernel:
+        b = [sum((diff[j] * x for j, x in k.items()), ZERO) for k in syz.kernel]
+        coeffs = linalg.solve(syz.gram, b)
+        for c, k in zip(coeffs, syz.kernel):
+            for j, x in k.items():
+                particular[j] = particular[j] + c * x
     corrected = dict(pinned)
     changes = []
-    for gi, n in enumerate(free):
+    for gi, n in enumerate(syz.free):
         coords = particular[gi * nv : (gi + 1) * nv]
         poly = aadd(*[avar(nv, v, coords[v]) for v in range(nv)])
         if poly:
@@ -420,10 +458,6 @@ def _correct_relation(rel, names, gens, nv):
         if coords != _lin_coords(rel.get(n, {}), nv):
             changes.append((n, _lin_coords(rel.get(n, {}), nv), coords))
     return corrected, changes
-
-
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
 def build_1r2(r, lambdas):
@@ -434,31 +468,23 @@ def build_1r2(r, lambdas):
     f = aadd(sq[0], *sq[2:])
     g = aadd(sq[1], sq[2], *[ascale(sq[i + 3], lam[i]) for i in range(r - 3)])
     names, gens = _generators_1r2(r, lam)
+    syz = _quadratic_syzygies(names, gens, nv)
     relations = []
     for name, rel in _printed_relations(r, lam):
         res = _residual(rel, names, gens)
         if not res:
             relations.append({"name": name, "printed_ok": True, "relation": rel, "changes": []})
             continue
-        corrected, changes = _correct_relation(rel, names, gens, nv)
-        assert corrected is not None, f"no syzygy with the support of {name}"
-        assert not _residual(corrected, names, gens)
+        corrected, changes = _correct_relation(rel, names, gens, nv, syz)
+        if corrected is None:
+            raise VerificationFailure(f"no syzygy with the support of {name}")
+        if _residual(corrected, names, gens):
+            raise VerificationFailure(f"the corrected {name} is not a syzygy")
         relations.append(
             {"name": name, "printed_ok": False, "relation": corrected, "changes": changes}
         )
-    ncols = len(gens) * nv
-    deg3 = monomials_of(nv, 3)
-    index = {e: i for i, e in enumerate(deg3)}
-    cols = []
-    for gpoly in gens:
-        for v in range(nv):
-            prod = amul(avar(nv, v), gpoly)
-            col = [ZERO] * len(deg3)
-            for e, c in prod.items():
-                col[index[e]] = c
-            cols.append(col)
-    mat = [[cols[j][i] for j in range(ncols)] for i in range(len(deg3))]
-    syzygy_dim = len(linalg.kernel_basis(mat, ncols))
+    _index, mat = _multiples_matrix(gens, nv)
+    syzygy_dim = len(linalg.kernel_basis(mat, len(gens) * nv))
     return {
         "f": f,
         "g": g,
@@ -494,7 +520,8 @@ def verify_deformation_1r2(r, lambdas, t, seed=0, strict=False):
         if _residual(rel, names, gens_t):
             bad.append(name)
     clauses.append(_clause("relations-extend", not bad, f"failed: {bad}"))
-    len_t = stabilized_length(gens_t, nv)
+    stabilization_t = _stabilization(gens_t, nv)
+    len_t = stabilization_t[0]
     _n0, gens_0 = _generators_1r2(r, lam, ZERO)
     len_0 = stabilized_length(gens_0, nv)
     clauses.append(
@@ -503,7 +530,7 @@ def verify_deformation_1r2(r, lambdas, t, seed=0, strict=False):
     hf0 = graded_hilbert(gens_0, nv, 3)
     clauses.append(_clause("graded-hf-at-t0", hf0 == (1, r, 2, 0), f"hf={hf0}"))
     if t:
-        support = affine_support_count(gens_t, nv, seed)
+        support = affine_support_count(gens_t, nv, seed, stabilization=stabilization_t)
         clauses.append(_clause("support-count-2", support == 2, f"support={support}"))
     report = {"clauses": clauses, "pass": all(c["pass"] for c in clauses)}
     if strict and not report["pass"]:

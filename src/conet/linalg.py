@@ -10,21 +10,30 @@ matrices involved there are small.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InconsistentSystem, NonSquare
 from .scalar import ONE, ZERO, Scalar
 
 
 def _int_rows(rows):
-    """Clear denominators row by row, returning rows of (p, q) int pairs."""
+    """Clear denominators row by row, returning rows of (p, q) int pairs.
+
+    Integer arithmetic only: a row's multiplier is the lcm of the
+    denominators of its nonzero entries, and n/d becomes n * (den // d).
+    """
     out = []
     for row in rows:
         den = 1
-        for x in row:
-            den = den * x.a.denominator // gcd(den, x.a.denominator)
-            den = den * x.b.denominator // gcd(den, x.b.denominator)
-        irow = [(int(x.a * den), int(x.b * den)) for x in row]
+        nonzero = []
+        for j, x in enumerate(row):
+            a, b = x.a, x.b
+            if a or b:
+                den = lcm(den, a.denominator, b.denominator)
+                nonzero.append((j, a, b))
+        irow = [(0, 0)] * len(row)
+        for j, a, b in nonzero:
+            irow[j] = (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
         out.append(_strip(irow))
     return out
 

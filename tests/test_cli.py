@@ -124,3 +124,11 @@ def test_verify_onr2_bad_lambdas(capsys):
         ["verify", "onr2", "--r", "5", "--lambdas", "1,1", "--t", "1"], capsys
     )
     assert code == 3
+
+
+def test_verify_onr2_r_above_bound(capsys):
+    code, out = run_cli(
+        ["verify", "onr2", "--r", "8", "--lambdas", "2,3,-1,5,7", "--t", "1"], capsys
+    )
+    assert code == 3
+    assert json.loads(out)["error"] == "InvalidInput"

@@ -1,6 +1,9 @@
 import pytest
 
+from conet import linalg
 from conet.deform import (
+    _generators_1r2,
+    _quadratic_syzygies,
     aadd,
     aeval,
     affine_support_count,
@@ -12,7 +15,7 @@ from conet.deform import (
     verify_deformation_1r2,
     verify_smoothing_133,
 )
-from conet.errors import InvalidParameters
+from conet.errors import InvalidParameters, VerificationFailure
 from conet.scalar import ONE, ZERO, Scalar
 
 
@@ -39,6 +42,12 @@ def test_graded_hilbert():
     x, y = avar(2, 0), avar(2, 1)
     gens = [amul(x, x), amul(x, y), amul(y, y)]
     assert graded_hilbert(gens, 2, 3) == (1, 2, 0, 0)
+
+
+def test_graded_hilbert_rejects_inhomogeneous_input():
+    x, y = avar(2, 0), avar(2, 1)
+    with pytest.raises(VerificationFailure):
+        graded_hilbert([aadd(amul(x, x), y)], 2, 2)
 
 
 def test_affine_support_count_two_points():
@@ -78,6 +87,48 @@ def test_build_1r2_reports_corrections():
     b4 = build_1r2(4, [Scalar(2)])
     fixed = {rel["name"] for rel in b4["relations"] if not rel["printed_ok"]}
     assert {"e_14", "e_34"} <= fixed
+
+
+W_LAMBDAS = [Scalar(1, 1), Scalar(-2, 1)]  # 1 + w and -2 + w
+
+
+def test_build_1r2_builds_the_syzygy_space_once(monkeypatch):
+    calls = []
+    original = linalg.kernel_basis
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counting)
+    build_1r2(5, W_LAMBDAS)
+    # one kernel for the quadratic-monomial syzygies, one for syzygy_dim
+    assert len(calls) <= 2
+
+
+def test_quadratic_syzygy_gram_is_positive_definite():
+    # The kernel does not involve lambda: it is rational with entries in
+    # {0, +-1}, so its bilinear Gram matrix is positive-definite even for
+    # w-valued lambdas.
+    names, gens = _generators_1r2(5, W_LAMBDAS)
+    syz = _quadratic_syzygies(names, gens, 5)
+    assert len(syz.kernel) == 20
+    for k in syz.kernel:
+        assert len(k) == 2 and all(x in (ONE, -ONE) for x in k.values())
+    assert all(x.is_rational() for row in syz.gram for x in row)
+    # Sylvester's criterion, as positive pivots of elimination without swaps
+    g = [[x.a for x in row] for row in syz.gram]
+    for i in range(len(g)):
+        assert g[i][i] > 0
+        for j in range(i + 1, len(g)):
+            f = g[j][i] / g[i][i]
+            g[j] = [a - f * b for a, b in zip(g[j], g[i])]
+
+
+def test_build_1r2_corrections_for_w_lambdas():
+    b5 = build_1r2(5, W_LAMBDAS)
+    fixed = {rel["name"] for rel in b5["relations"] if not rel["printed_ok"]}
+    assert fixed == {"e_14", "e_15", "e_34", "e_35", "e_45", "e_54"}
 
 
 def test_build_1r2_bad_params():

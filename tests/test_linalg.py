@@ -12,6 +12,10 @@ small = st.integers(min_value=-9, max_value=9)
 entries = st.builds(Scalar, small, small)
 
 
+fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+mixed = st.one_of(st.just(ZERO), st.builds(Scalar, fracs), st.builds(Scalar, fracs, fracs))
+
+
 def mat(n):
     return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
 
@@ -79,3 +83,18 @@ def test_rank_bounds(a):
     r = linalg.rank(a)
     assert 0 <= r <= 3
     assert (r == 3) == (linalg.det(a) != ZERO)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.one_of(st.just([ZERO] * n), st.lists(mixed, min_size=n, max_size=n)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+def test_rank_matches_rref(rows):
+    # mixed denominators, w-parts and zero rows through the integer path
+    assert linalg.rank(rows) == len(linalg.rref(rows)[0])
