@@ -3,7 +3,7 @@ one-parameter specialization-family verification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 from .errors import (
@@ -11,15 +11,16 @@ from .errors import (
     FamilyMismatch,
     InconsistentConfiguration,
     InvalidInput,
-    NotThreeDimensional,
 )
-from .forms import HForm, conic_matrix, form_det3, parse_form
-from .scalar import ONE, ZERO, Scalar
+from .forms import conic_matrix, parse_form
+from .scalar import ZERO, Scalar
 from .spaces import (
     LinearSystem,
+    adjugate_entries,
     assert_net,
     discriminant_cubic,
     graded_quotient_report,
+    matrix_pencil,
     minor_forms,
     orbit_dimension,
     orthogonal_complement,
@@ -37,27 +38,6 @@ from .cubics import (
 from .upoly import binary_pattern, distinct_root_count, pgcd, repeated_binary_root, trim
 
 
-def _pencil_minor_coeffs(pencil):
-    """The six adjugate entries of s*M1 + t*M2, as binary quadratics."""
-    mats = [conic_matrix(f) for f in pencil.forms]
-    dual_vars = ("A", "B", "C")
-    m = [
-        [
-            HForm(1, {(1, 0, 0): mats[0][i][j], (0, 1, 0): mats[1][i][j]}, dual_vars)
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    out = []
-    for i in range(3):
-        for j in range(i, 3):
-            i1, i2 = [t for t in range(3) if t != i]
-            j1, j2 = [t for t in range(3) if t != j]
-            q = m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1]
-            out.append([q.coeff((k, 2 - k, 0)) for k in range(3)])
-    return out
-
-
 def classify_pencil(pencil):
     """Table-2 type (a-h) of a 2-dimensional system of conics."""
     if pencil.degree != 2 or len(pencil.forms) != 2 or pencil.dimension != 2:
@@ -73,7 +53,10 @@ def classify_pencil(pencil):
         if pattern == [2, 1]:
             return "b" if r == 2 else "c"
         return "d" if r == 2 else "e"
-    minors = [trim(q) for q in _pencil_minor_coeffs(pencil)]
+    minors = [
+        trim([q.coeff((k, 2 - k, 0)) for k in range(3)])
+        for q in adjugate_entries(matrix_pencil(pencil))
+    ]
     nonzero = [q for q in minors if q]
     assert nonzero, "a pencil cannot consist of rank-one conics"
     g = nonzero[0]

@@ -19,7 +19,7 @@ from .cubics import (
     jacobian_net,
     jacobian_preimage,
 )
-from .deform import verify_deformation_1r2, verify_smoothing_133
+from .deform import _clause, verify_deformation_1r2, verify_smoothing_133
 from .errors import (
     DualityMismatch,
     FamilyMismatch,
@@ -83,7 +83,6 @@ def _parser():
     )
     p.add_argument("--file", help="input JSON file (a form or a linear system)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probe-degree", type=int, default=8)
     p.add_argument("--lambda", dest="lam", default=None, help="scalar parameter")
     p.add_argument("--t", default=None, help="deformation parameter (scalar)")
     p.add_argument(
@@ -130,10 +129,6 @@ def _scalar(text, name):
         return parse_scalar(text)
     except (InvalidInput, ValueError) as exc:
         raise InvalidInput(f"bad --{name}: {exc}") from exc
-
-
-def _clause(name, ok, detail=""):
-    return {"name": name, "pass": bool(ok), "detail": detail}
 
 
 def verify_tables(seed=0):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from . import linalg
 from .errors import InconsistentSystem, InvalidParameters, VerificationFailure
 from .scalar import ONE, W, ZERO, Scalar
-from .upoly import distinct_root_count
+from .spaces import agreed_support_count
 
 
 # --------------------------------------------------------------------------
@@ -104,16 +104,20 @@ def monomials_of(nv, d):
     return [e for e in monomials_upto(nv, d) if sum(e) == d]
 
 
+def _coeff_row(poly, index):
+    """Coefficient vector of a polynomial over the monomials of `index`."""
+    row = [ZERO] * len(index)
+    for e, c in poly.items():
+        row[index[e]] = c
+    return row
+
+
 def _rows_for(gens, nv, bound, cols_index):
     rows = []
     for g in gens:
         dg = max(sum(e) for e in g)
         for q in monomials_upto(nv, bound - dg):
-            prod = amul({q: ONE}, g)
-            row = [ZERO] * len(cols_index)
-            for e, c in prod.items():
-                row[cols_index[e]] = c
-            rows.append(row)
+            rows.append(_coeff_row(amul({q: ONE}, g), cols_index))
     return rows
 
 
@@ -154,11 +158,7 @@ def graded_hilbert(gens, nv, upto):
             if d < dg:
                 continue
             for q in monomials_of(nv, d - dg):
-                prod = amul({q: ONE}, g)
-                row = [ZERO] * len(cols)
-                for e, c in prod.items():
-                    row[index[e]] = c
-                rows.append(row)
+                rows.append(_coeff_row(amul({q: ONE}, g), index))
         out.append(len(cols) - linalg.rank(rows))
     return tuple(out)
 
@@ -173,45 +173,31 @@ def affine_support_count(gens, nv, seed=0, max_bound=8, stabilization=None):
     length, stable = stabilization or _stabilization(gens, nv, max_bound)
     lo_cols = monomials_upto(nv, stable)
     lo_index = {e: i for i, e in enumerate(lo_cols)}
-    lo_pivots, _lo = linalg.rref(_rows_for(gens, nv, stable, lo_index))
-    basis = [lo_cols[c] for c in range(len(lo_cols)) if c not in lo_pivots]
+    lo_free, _lo_reduce = linalg.reducer(_rows_for(gens, nv, stable, lo_index), len(lo_cols))
+    basis = [lo_cols[c] for c in lo_free]
     if len(basis) != length:
         raise VerificationFailure(f"{len(basis)} basis monomials for length {length}")
     cols = monomials_upto(nv, stable + 1)
     index = {e: i for i, e in enumerate(cols)}
-    pivots, rmat = linalg.rref(_rows_for(gens, nv, stable + 1, index))
-    free = [c for c in range(len(cols)) if c not in pivots]
+    free, reduce = linalg.reducer(_rows_for(gens, nv, stable + 1, index), len(cols))
     if len(free) != length:
         raise VerificationFailure(f"{len(free)} free columns for length {length}")
 
-    def reduce(poly):
-        v = [ZERO] * len(cols)
-        for e, c in poly.items():
-            v[index[e]] = c
-        for i, pc in enumerate(pivots):
-            if v[pc]:
-                f = v[pc]
-                v = [v[j] - f * rmat[i][j] for j in range(len(v))]
-        return [v[c] for c in free]
+    def operator(lform):
+        imgs = [reduce(_coeff_row(amul({b: ONE}, lform), index)) for b in basis]
+        return [[imgs[j][i] for j in range(length)] for i in range(length)]
 
     # transition: classes of the level-D basis in level-(D+1) coordinates
-    trans = [reduce({b: ONE}) for b in basis]
-    a1 = [[trans[j][i] for j in range(length)] for i in range(length)]
+    a1 = operator({(0,) * nv: ONE})
     if linalg.rank(a1) != length:
         raise VerificationFailure("the degree-bound transition matrix is singular")
     rng = random.Random(seed)
-    last = None
-    for _ in range(8):
+
+    def draw():
         lform = aadd(*[avar(nv, i, Scalar(rng.randint(-20, 20))) for i in range(nv)])
-        imgs = [reduce(amul({b: ONE}, lform)) for b in basis]
-        a2 = [[imgs[j][i] for j in range(length)] for i in range(length)]
-        op_cols = [linalg.solve(a1, [a2[i][j] for i in range(length)]) for j in range(length)]
-        op = [[op_cols[j][i] for j in range(length)] for i in range(length)]
-        got = distinct_root_count(linalg.char_poly(op))
-        if last is not None and got == last:
-            return got
-        last = got
-    raise VerificationFailure("support count never agreed across draws")
+        return a1, operator(lform)
+
+    return agreed_support_count(draw, VerificationFailure)
 
 
 # --------------------------------------------------------------------------
@@ -392,13 +378,7 @@ def _multiples_matrix(gens, nv):
     pair, generator-major: the coefficients of x_v * g."""
     deg3 = monomials_of(nv, 3)
     index = {e: i for i, e in enumerate(deg3)}
-    cols = []
-    for g in gens:
-        for v in range(nv):
-            col = [ZERO] * len(deg3)
-            for e, c in amul(avar(nv, v), g).items():
-                col[index[e]] = c
-            cols.append(col)
+    cols = [_coeff_row(amul(avar(nv, v), g), index) for g in gens for v in range(nv)]
     return index, [list(row) for row in zip(*cols)]
 
 

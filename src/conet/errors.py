@@ -21,10 +21,6 @@ class DegreeMismatch(ValueError):
     """Operands have incompatible degrees."""
 
 
-class SingularSubstitution(ValueError):
-    """A coordinate change matrix is not invertible."""
-
-
 class NotThreeDimensional(ValueError):
     """A net of conics must span a 3-dimensional space."""
 

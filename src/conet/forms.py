@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import DegreeMismatch, InvalidInput, SingularSubstitution, ZeroForm
+from .errors import DegreeMismatch, InvalidInput, ZeroForm
 from .scalar import ONE, ZERO, Scalar, parse_scalar
 
 # Fixed monomial order for conics; used for coefficient vectors everywhere

@@ -1,10 +1,15 @@
 """Exact linear algebra over Q(w).
 
-Rank computations clear denominators and run an integer-pair elimination
-(entries are p + q*w with p, q Python ints, content-stripped after every
-update) so the hot paths never touch Fraction arithmetic.  Kernels, solves
-and characteristic polynomials work directly with Scalar entries; the
-matrices involved there are small.
+Every row reduction runs on one fraction-free elimination: rows are
+cleared of denominators into pairs (p, q) of Python ints meaning p + q*w,
+each pivot row is scaled once so that its pivot is an integer, and each
+update  row <- pivot*row - f*pivot_row  is followed by dividing the row by
+the gcd of its integers, so no Fraction arithmetic happens while
+eliminating.  `rank` uses the downward pass alone.  `rref` adds an upward
+pass that clears each pivot column above its pivot, then divides every
+row once by its integer pivot; `kernel_basis`, `solve` and `reducer` read
+their answers off that RREF.  Characteristic polynomials work on Scalar
+entries (Faddeev-LeVerrier, divisions by integers only).
 """
 
 from __future__ import annotations
@@ -54,9 +59,24 @@ def _pmul(x, y):
     return (p * r - qs, p * s + q * r - qs)
 
 
-def int_echelon(irows, ncols):
-    """Row echelon form on int-pair rows; returns (pivot_cols, rows)."""
-    rows = [list(r) for r in irows]
+def _combine(pv, row, f, prow, start):
+    """pv*row - f*prow, content-stripped; both rows vanish before `start`."""
+    new = row[:start]
+    for j in range(start, len(row)):
+        a = _pmul(pv, row[j])
+        b = _pmul(f, prow[j])
+        new.append((a[0] - b[0], a[1] - b[1]))
+    return _strip(new)
+
+
+def _echelon(rows, reduced):
+    """Fraction-free echelon form of Scalar rows, as int-pair rows.
+
+    Returns (pivot_cols, nonzero rows); every pivot is a rational integer.
+    With `reduced`, every pivot column is also cleared above its pivot.
+    """
+    rows = _int_rows(rows)
+    ncols = len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
@@ -68,62 +88,83 @@ def int_echelon(irows, ncols):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
+        # 1/(p + q*w) = ((p - q) - q*w) / (p^2 - p*q + q^2): multiplying the
+        # pivot row by (p - q) - q*w makes its pivot an integer.  Stripping
+        # integer content cannot divide out a factor like p + q*w, so with
+        # w-valued pivots such factors pile up in every row below and the
+        # entries grow exponentially (over 10^4 bits for a 16 x 20 matrix
+        # with entries a + b*w, |a|, |b| <= 2).
+        p, q = rows[r][c]
+        if q:
+            rows[r] = _strip([_pmul(x, (p - q, -q)) for x in rows[r]])
+        pv, prow = rows[r][c], rows[r]
         for i in range(r + 1, len(rows)):
             f = rows[i][c]
-            if f == (0, 0):
-                continue
-            row = rows[i]
-            new = []
-            for j in range(ncols):
-                a = _pmul(pv, row[j])
-                b = _pmul(f, rows[r][j])
-                new.append((a[0] - b[0], a[1] - b[1]))
-            rows[i] = _strip(new)
+            if f != (0, 0):
+                rows[i] = _combine(pv, rows[i], f, prow, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return pivots, rows[:r]
+    rows = rows[:r]
+    if reduced:
+        # bottom-up, so each pivot row used is already clear above later
+        # pivots; with integer pivots each row stays a rational multiple of
+        # its RREF row, which content stripping keeps small
+        for k in range(r - 1, 0, -1):
+            c = pivots[k]
+            pv, prow = rows[k][c], rows[k]
+            for i in range(k):
+                f = rows[i][c]
+                if f != (0, 0):
+                    rows[i] = _combine(pv, rows[i], f, prow, pivots[i])
+    return pivots, rows
 
 
 def rank(rows):
     """Rank of a matrix given as rows of Scalars."""
     if not rows:
         return 0
-    ncols = len(rows[0])
-    pivots, _ = int_echelon(_int_rows(rows), ncols)
-    return len(pivots)
+    return len(_echelon(rows, reduced=False)[0])
 
 
 def rref(rows):
     """Reduced row echelon form; returns (pivot_cols, nonzero Scalar rows)."""
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [mat[i][j] - f * mat[r][j] for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return pivots, mat[:r]
+    pivots, irows = _echelon(rows, reduced=True)
+    out = []
+    for c, irow in zip(pivots, irows):
+        n = irow[c][0]
+        out.append(
+            [ZERO if x == (0, 0) else Scalar(Fraction(x[0], n), Fraction(x[1], n)) for x in irow]
+        )
+    return pivots, out
+
+
+def reducer(rows, ncols):
+    """Coordinates modulo the row space of `rows` (vectors of length ncols).
+
+    Returns (free, reduce): the non-pivot columns of the RREF R of rows, and
+    a function sending a vector v to the free coordinates of its remainder,
+    v_j - sum_i v[p_i] * R[i][j] for j in free.  R is reduced, so
+    subtracting its rows never changes a pivot coordinate of v, and only the
+    free coordinates are computed.
+    """
+    pivots, rmat = rref(rows)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    tails = [(pc, [row[j] for j in free]) for pc, row in zip(pivots, rmat)]
+
+    def reduce(vec):
+        out = [vec[j] for j in free]
+        for pc, tail in tails:
+            f = vec[pc]
+            if f:
+                out = [x - f * t for x, t in zip(out, tail)]
+        return out
+
+    return free, reduce
 
 
 def kernel_basis(rows, ncols):
@@ -202,6 +243,3 @@ def det(m):
     c0 = char_poly(m)[0]
     return c0 if n % 2 == 0 else -c0
 
-
-def from_int_row(irow):
-    return [Scalar(Fraction(p), Fraction(q)) for p, q in irow]

@@ -31,10 +31,11 @@ class LinearSystem:
 
     def __init__(self, forms):
         forms = list(forms)
-        assert forms, "a linear system needs at least one generator"
+        if not forms:
+            raise InvalidInput("a linear system needs at least one generator")
         degree = next((f.degree for f in forms if f), forms[0].degree)
-        for f in forms:
-            assert f.is_zero() or f.degree == degree
+        if any(f and f.degree != degree for f in forms):
+            raise InvalidInput("the forms of a linear system must share one degree")
         self.degree = degree
         self.forms = forms
         self.order = monomial_order(degree)
@@ -97,23 +98,39 @@ def assert_net(system):
         )
 
 
+def matrix_pencil(system):
+    """A*M1 + B*M2 (+ C*M3) for the conic matrices M_k of the generators,
+    as a 3x3 matrix of linear forms in A, B, C."""
+    mats = [conic_matrix(f) for f in system.forms]
+    exps = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    return [
+        [
+            HForm(1, {exps[k]: m[i][j] for k, m in enumerate(mats)}, ("A", "B", "C"))
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+
+
+def adjugate_entries(m):
+    """The six 2x2 minors of a symmetric 3x3 matrix (its adjugate entries
+    on and above the diagonal)."""
+    out = []
+    for i in range(3):
+        for j in range(i, 3):
+            i1, i2 = [t for t in range(3) if t != i]
+            j1, j2 = [t for t in range(3) if t != j]
+            out.append(m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1])
+    return out
+
+
 def discriminant_cubic(net):
     """det(A*M1 + B*M2 + C*M3) as a cubic form in A, B, C.
 
     Uses the generators in the order given, not the canonical basis.
     """
     assert_net(net)
-    mats = [conic_matrix(f) for f in net.forms]
-    dual_vars = ("A", "B", "C")
-    exps = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    entries = [
-        [
-            HForm(1, {exps[k]: mats[k][i][j] for k in range(3)}, dual_vars)
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    return form_det3(entries)
+    return form_det3(matrix_pencil(net))
 
 
 def pencil_determinant(pencil):
@@ -122,16 +139,7 @@ def pencil_determinant(pencil):
     Returns [c0, c1, c2, c3] with c_i the coefficient of s^i t^(3-i).
     """
     assert pencil.degree == 2 and len(pencil.forms) == 2
-    mats = [conic_matrix(f) for f in pencil.forms]
-    dual_vars = ("A", "B", "C")
-    entries = [
-        [
-            HForm(1, {(1, 0, 0): mats[0][i][j], (0, 1, 0): mats[1][i][j]}, dual_vars)
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    d = form_det3(entries)
+    d = form_det3(matrix_pencil(pencil))
     return [d.coeff((i, 3 - i, 0)) for i in range(4)]
 
 
@@ -139,23 +147,7 @@ def minor_forms(net):
     """The six adjugate entries of the symmetric matrix pencil, as quadrics
     in A, B, C.  Their zero scheme is the rank <= 1 locus."""
     assert_net(net)
-    mats = [conic_matrix(f) for f in net.forms]
-    dual_vars = ("A", "B", "C")
-    exps = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    m = [
-        [
-            HForm(1, {exps[k]: mats[k][i][j] for k in range(3)}, dual_vars)
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    out = []
-    for i in range(3):
-        for j in range(i, 3):
-            i1, i2 = [t for t in range(3) if t != i]
-            j1, j2 = [t for t in range(3) if t != j]
-            out.append(m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1])
-    return out
+    return adjugate_entries(matrix_pencil(net))
 
 
 @dataclass(frozen=True)
@@ -201,56 +193,65 @@ def hilbert_value(gens, d):
     return len(order) - ideal_codimension(gens, d)
 
 
-def graded_quotient_report(gens, probe_degree=8):
+def graded_quotient_report(gens):
     """Hilbert function of R/(gens) with early stabilization detection.
 
     Declares dimension 0 once three consecutive values agree (length is the
     stable value) and dimension 1 once three consecutive first differences
-    agree and are positive.  Raises the probe bound once before giving up.
+    agree and are positive.  Gives up after degree 12.
     """
     gens = [g for g in gens if g]
     if not gens:
         raise ZeroForm("graded report needs at least one nonzero generator")
     hf = []
-    for bound in (probe_degree, 12):
-        for d in range(len(hf), bound + 1):
-            hf.append(hilbert_value(gens, d))
-            n = len(hf)
-            if hf[-1] == 0:
-                # the quotient vanishes in high degrees: empty scheme
-                return SchemeReport(tuple(hf), 0, 0)
-            if n >= 3 and hf[-1] == hf[-2] == hf[-3]:
-                return SchemeReport(tuple(hf), 0, hf[-1])
-            if n >= 4:
-                d1, d2, d3 = hf[-1] - hf[-2], hf[-2] - hf[-3], hf[-3] - hf[-4]
-                if d1 == d2 == d3 and d1 > 0:
-                    return SchemeReport(tuple(hf), 1, None)
-        if bound == 12:
-            break
+    for d in range(13):
+        hf.append(hilbert_value(gens, d))
+        n = len(hf)
+        if hf[-1] == 0:
+            # the quotient vanishes in high degrees: empty scheme
+            return SchemeReport(tuple(hf), 0, 0)
+        if n >= 3 and hf[-1] == hf[-2] == hf[-3]:
+            return SchemeReport(tuple(hf), 0, hf[-1])
+        if n >= 4:
+            d1, d2, d3 = hf[-1] - hf[-2], hf[-2] - hf[-3], hf[-3] - hf[-4]
+            if d1 == d2 == d3 and d1 > 0:
+                return SchemeReport(tuple(hf), 1, None)
     raise Indeterminate(f"Hilbert function did not stabilize by degree 12: {hf}")
 
 
-def rank_one_report(net, probe_degree=8):
+def rank_one_report(net):
     """Scheme report of the rank-one locus of a net."""
-    return graded_quotient_report(minor_forms(net), probe_degree)
+    return graded_quotient_report(minor_forms(net))
 
 
 def _quotient_basis(gens, d):
     """Monomial basis of (R/I)_d together with a reducer to coordinates."""
     order = monomial_order(d)
-    rows = _span_rows(gens, d, order)
-    pivots, rmat = linalg.rref(rows)
-    free = [c for c in range(len(order)) if c not in pivots]
-
-    def reduce(vec):
-        v = list(vec)
-        for i, pc in enumerate(pivots):
-            if v[pc]:
-                f = v[pc]
-                v = [v[j] - f * rmat[i][j] for j in range(len(v))]
-        return [v[c] for c in free]
-
+    free, reduce = linalg.reducer(_span_rows(gens, d, order), len(order))
     return order, free, reduce
+
+
+def agreed_support_count(draw, failure):
+    """Number of distinct eigenvalues of a1^-1 * a2, once two consecutive
+    draws agree.
+
+    draw() returns a pair (a1, a2) of square matrices, or None when its a1
+    is singular; `failure` is raised after eight draws without agreement.
+    """
+    last = None
+    for _ in range(8):
+        pair = draw()
+        if pair is None:
+            continue
+        a1, a2 = pair
+        n = len(a1)
+        # the columns of a1^-1 * a2; its transpose has the same char_poly
+        op_t = [linalg.solve(a1, [a2[i][j] for i in range(n)]) for j in range(n)]
+        got = distinct_root_count(linalg.char_poly(op_t))
+        if last is not None and got == last:
+            return got
+        last = got
+    raise failure("support count never agreed across draws")
 
 
 def support_count(gens, seed=0):
@@ -266,7 +267,7 @@ def support_count(gens, seed=0):
         return 0
     hf = report.hilbert
     d = next(i for i, h in enumerate(hf) if all(x == report.length for x in hf[i:]))
-    order_d, free_d, reduce_d = _quotient_basis(gens, d)
+    order_d, free_d, _reduce_d = _quotient_basis(gens, d)
     order_d1, free_d1, reduce_d1 = _quotient_basis(gens, d + 1)
     assert len(free_d) == len(free_d1) == report.length
     vars = gens[0].vars
@@ -279,37 +280,18 @@ def support_count(gens, seed=0):
             cols.append(reduce_d1((lform * mono).coeff_vector(order_d1)))
         return [[cols[j][i] for j in range(len(cols))] for i in range(len(free_d1))]
 
+    def random_form():
+        return HForm(1, {e: Scalar(rng.randint(-20, 20)) for e in monomial_order(1)}, vars)
+
     def draw():
-        l1 = HForm(
-            1,
-            {e: Scalar(rng.randint(-20, 20)) for e in monomial_order(1)},
-            vars,
-        )
-        l2 = HForm(
-            1,
-            {e: Scalar(rng.randint(-20, 20)) for e in monomial_order(1)},
-            vars,
-        )
+        l1 = random_form()
+        l2 = random_form()
         a1 = operator(l1)
         if linalg.rank(a1) != len(a1):
             return None
-        a2 = operator(l2)
-        cols = []
-        for j in range(len(a2)):
-            rhs = [a2[i][j] for i in range(len(a2))]
-            cols.append(linalg.solve(a1, rhs))
-        op = [[cols[j][i] for j in range(len(cols))] for i in range(len(a2))]
-        return distinct_root_count(linalg.char_poly(op))
+        return a1, operator(l2)
 
-    last = None
-    for _ in range(8):
-        got = draw()
-        if got is None:
-            continue
-        if last is not None and got == last:
-            return got
-        last = got
-    raise GenericityFailure("support count never agreed across draws")
+    return agreed_support_count(draw, GenericityFailure)
 
 
 def _binary_coeffs(form, i0, i1):
@@ -395,7 +377,8 @@ def orthogonal_complement(system):
     The pairing of two conics with matrices M, N is 2 * trace(M N); in the
     fixed basis it is diagonal with entries (2, 2, 2, 1, 1, 1).
     """
-    assert system.degree == 2
+    if system.degree != 2:
+        raise InvalidInput("the orthogonal complement is defined for systems of conics")
     rows = [
         [v * g for v, g in zip(row, GRAM_DIAGONAL)] for row in system.canonical()
     ]
@@ -414,16 +397,7 @@ def orbit_dimension(system):
     assert system.degree == 2
     basis = system.canonical_forms()
     order = monomial_order(2)
-    vrows = [f.coeff_vector(order) for f in basis]
-    pivots, rmat = linalg.rref(vrows)
-
-    def reduce(vec):
-        v = list(vec)
-        for i, pc in enumerate(pivots):
-            if v[pc]:
-                f = v[pc]
-                v = [v[j] - f * rmat[i][j] for j in range(len(v))]
-        return [v[c] for c in range(6) if c not in pivots]
+    _free, reduce = linalg.reducer([f.coeff_vector(order) for f in basis], len(order))
 
     rows = []
     vars = system.forms[0].vars

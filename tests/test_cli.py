@@ -65,6 +65,25 @@ def test_two_dimensional_input_is_malformed(tmp_path, capsys):
     assert json.loads(out)["error"] == "NotThreeDimensional"
 
 
+def test_dual_of_cubic_system_is_malformed(tmp_path, capsys):
+    path = tmp_path / "cubics.json"
+    sys_ = LinearSystem([parse_form("X^3"), parse_form("Y^3"), parse_form("Z^3")])
+    path.write_text(json.dumps(sys_.to_json()))
+    code, out = run_cli(["dual", "net", "--file", str(path)], capsys)
+    assert code == 3
+    assert json.loads(out)["error"] == "InvalidInput"
+
+
+def test_mixed_degree_system_is_malformed(tmp_path, capsys):
+    # LinearSystem refuses mixed degrees, so the JSON is written by hand
+    path = tmp_path / "mixed.json"
+    forms = [parse_form("X^2").to_json(), parse_form("Y^3").to_json()]
+    path.write_text(json.dumps({"degree": 2, "forms": forms}))
+    code, out = run_cli(["dual", "net", "--file", str(path)], capsys)
+    assert code == 3
+    assert json.loads(out)["error"] == "InvalidInput"
+
+
 def test_missing_file(capsys):
     code, out = run_cli(["classify", "net", "--file", "/nonexistent.json"], capsys)
     assert code == 3

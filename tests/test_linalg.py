@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -98,3 +99,50 @@ def test_rank_bounds(a):
 def test_rank_matches_rref(rows):
     # mixed denominators, w-parts and zero rows through the integer path
     assert linalg.rank(rows) == len(linalg.rref(rows)[0])
+
+
+mixed_rows = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.one_of(st.just([ZERO] * n), st.lists(mixed, min_size=n, max_size=n)),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
+def check_rref(rows):
+    pivots, rmat = linalg.rref(rows)
+    assert len(pivots) == len(rmat)
+    for i, (pc, row) in enumerate(zip(pivots, rmat)):
+        assert row[pc] == ONE
+        assert all(x == ZERO for x in row[:pc])
+        assert all(other[pc] == ZERO for k, other in enumerate(rmat) if k != i)
+    assert linalg.rank(rows + rmat) == len(rmat) == linalg.rank(rows)
+    return pivots
+
+
+def test_rref_of_w_valued_matrix_with_many_pivots():
+    # Clearing above w-valued pivots without first making them integers
+    # grows the entries exponentially: this case then took over a minute.
+    rng = random.Random(0)
+    rows = [[Scalar(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(16)] for _ in range(12)]
+    assert len(check_rref(rows)) == 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_rows, st.data())
+def test_rref_and_reducer_match_definition(rows, data):
+    ncols = len(rows[0])
+    pivots = check_rref(rows)
+
+    free, reduce = linalg.reducer(rows, ncols)
+    assert free == [c for c in range(ncols) if c not in pivots]
+    for row in rows:
+        assert all(x == ZERO for x in reduce(row))
+    for k, c in enumerate(free):
+        unit = [ONE if j == c else ZERO for j in range(ncols)]
+        assert reduce(unit) == [ONE if m == k else ZERO for m in range(len(free))]
+    vector = st.lists(mixed, min_size=ncols, max_size=ncols)
+    u, v, a = data.draw(vector), data.draw(vector), data.draw(mixed)
+    combo = [a * x + y for x, y in zip(u, v)]
+    assert reduce(combo) == [a * x + y for x, y in zip(reduce(u), reduce(v))]
