@@ -109,17 +109,17 @@ class NetReport:
         return out
 
 
-def _net_label_and_gamma(net, seed):
+def _net_label_and_gamma(net):
     assert_net(net)
     gamma = discriminant_cubic(net)
-    gtype = classify_cubic(gamma, seed)
+    gtype = classify_cubic(gamma)
     delta_report = rank_one_report(net)
     if delta_report.dimension == 1:
         delta = None
     elif delta_report.length == 0:
         delta = 0
     else:
-        delta = support_count(minor_forms(net), seed)
+        delta = support_count(minor_forms(net))
     if gtype.kind == "Zero":
         if delta_report.dimension == 1:
             return "2b", gtype, delta, None
@@ -154,13 +154,13 @@ def _net_label_and_gamma(net, seed):
     return label, gtype, delta, key
 
 
-def classify_net(net, seed=0):
+def classify_net(net):
     """Full orbit report of a net of conics."""
-    label, gtype, delta, key = _net_label_and_gamma(net, seed)
+    label, gtype, delta, key = _net_label_and_gamma(net)
     base = graded_quotient_report(net.forms)
     length = None if base.dimension == 1 else base.length
     dual_net = orthogonal_complement(net)
-    dual_label, _g, _d, _k = _net_label_and_gamma(dual_net, seed)
+    dual_label, _g, _d, _k = _net_label_and_gamma(dual_net)
     return NetReport(
         orbit=label,
         gamma=gtype,
@@ -192,12 +192,12 @@ EXPECTED_DUALS = {
 }
 
 
-def dual_pairs_check(corpus, seed=0):
+def dual_pairs_check(corpus):
     """Classify the orthogonal complement of each normal form and check the
     expected involution.  corpus: mapping label -> LinearSystem."""
     out = []
     for label, net in corpus.items():
-        got, _g, _d, _k = _net_label_and_gamma(orthogonal_complement(net), seed)
+        got, _g, _d, _k = _net_label_and_gamma(orthogonal_complement(net))
         if got != EXPECTED_DUALS[label]:
             raise DualityMismatch(f"dual of {label} classified as {got}")
         out.append((label, got))
@@ -227,7 +227,7 @@ class FamilySpec:
         return LinearSystem(forms)
 
 
-def _measurements(spec, value, seed):
+def _measurements(spec, value):
     """(label, orbit dimension, base/singular length with None = infinite)."""
     obj = spec.build(value)
     if spec.kind == "pencil":
@@ -236,15 +236,15 @@ def _measurements(spec, value, seed):
         length = None if report.dimension == 1 else report.length
         return label, orbit_dimension(obj), length, None
     if spec.kind == "net":
-        rep = classify_net(obj, seed)
+        rep = classify_net(obj)
         return rep.orbit, rep.orbit_dim, rep.scheme_length, rep.key
-    ctype = classify_cubic(obj, seed)
+    ctype = classify_cubic(obj)
     sing = graded_quotient_report([obj.diff(i) for i in range(3)])
     length = None if sing.dimension == 1 else sing.length
     return ctype.kind, cubic_orbit_dimension(obj), length, ctype.key
 
 
-def verify_family(spec, samples, seed=0, strict=False):
+def verify_family(spec, samples, strict=False):
     """Classify a family at generic samples and at its special value.
 
     Checks labels, strict orbit-dimension drop, weak length increase, and
@@ -257,12 +257,12 @@ def verify_family(spec, samples, seed=0, strict=False):
     for v in samples:
         v = v if isinstance(v, Scalar) else Scalar(v)
         assert v != spec.special_value and v not in spec.excluded
-        label, dim, length, key = _measurements(spec, v, seed)
+        label, dim, length, key = _measurements(spec, v)
         generic.append((v, label, dim, length))
         keys.append(key)
         if label != spec.expected_generic:
             problems.append(f"sample {v}: got {label}, expected {spec.expected_generic}")
-    s_label, s_dim, s_length, _ = _measurements(spec, spec.special_value, seed)
+    s_label, s_dim, s_length, _ = _measurements(spec, spec.special_value)
     if s_label != spec.expected_special:
         problems.append(f"special {spec.special_value}: got {s_label}, expected {spec.expected_special}")
     dim_drop_ok = all(s_dim < dim for _v, _l, dim, _len in generic)

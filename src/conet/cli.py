@@ -31,6 +31,7 @@ from .errors import (
     NotThreeDimensional,
     UnclassifiedCubic,
     VerificationFailure,
+    ZeroForm,
 )
 from .forms import HForm
 from .golden import (
@@ -82,7 +83,9 @@ def _parser():
         "subject", choices=sorted({s for _, s in COMMANDS})
     )
     p.add_argument("--file", help="input JSON file (a form or a linear system)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="accepted and ignored: no command draws random numbers"
+    )
     p.add_argument("--lambda", dest="lam", default=None, help="scalar parameter")
     p.add_argument("--t", default=None, help="deformation parameter (scalar)")
     p.add_argument(
@@ -131,11 +134,11 @@ def _scalar(text, name):
         raise InvalidInput(f"bad --{name}: {exc}") from exc
 
 
-def verify_tables(seed=0):
+def verify_tables():
     """Re-derive every golden table from scratch and compare."""
     clauses = []
     nets = net_corpus()
-    reports = {label: classify_net(net, seed) for label, net in nets.items()}
+    reports = {label: classify_net(net) for label, net in nets.items()}
     bad = [l for l, r in reports.items() if r.orbit != l]
     clauses.append(_clause("corpus-labels", not bad, f"mislabelled: {bad}"))
     bad = [l for l, r in reports.items() if r.orbit_dim != ORBIT_DIMENSIONS[l]]
@@ -160,17 +163,17 @@ def verify_tables(seed=0):
     bad = []
     for text, expect in POLAR_TABLE:
         net = jacobian_net(parse_form(text))
-        got = classify_net(net, seed).orbit
+        got = classify_net(net).orbit
         if got != expect:
             bad.append(f"{text}: {got} != {expect}")
     clauses.append(_clause("polar-table", not bad, "; ".join(bad)))
-    return {"clauses": clauses}
+    return {"clauses": clauses, "pass": all(c["pass"] for c in clauses)}
 
 
-def verify_specializations(seed=0):
+def verify_specializations():
     families = []
     for spec in all_families():
-        families.append(verify_family(spec, family_samples(spec), seed))
+        families.append(verify_family(spec, family_samples(spec)))
     return {
         "families": families,
         "pass": all(f["pass"] for f in families),
@@ -182,11 +185,11 @@ def _run(args):
     if key not in COMMANDS:
         raise InvalidInput(f"unsupported command: {args.verb} {args.subject}")
     if key == ("classify", "net"):
-        return classify_net(_load_system(args.file), args.seed).to_json(), EXIT_OK
+        return classify_net(_load_system(args.file)).to_json(), EXIT_OK
     if key == ("classify", "pencil"):
         return {"orbit": classify_pencil(_load_system(args.file))}, EXIT_OK
     if key == ("classify", "cubic"):
-        return classify_cubic(_load_cubic(args.file), args.seed).to_json(), EXIT_OK
+        return classify_cubic(_load_cubic(args.file)).to_json(), EXIT_OK
     if key == ("dual", "net"):
         system = _load_system(args.file)
         comp = orthogonal_complement(system)
@@ -204,18 +207,16 @@ def _run(args):
         counts = apolar_generators(_load_cubic(args.file))
         return {"counts": {str(d): n for d, n in sorted(counts.items())}}, EXIT_OK
     if key == ("verify", "tables"):
-        report = verify_tables(args.seed)
-        ok = all(c["pass"] for c in report["clauses"])
-        return report, EXIT_OK if ok else EXIT_VERIFY
+        report = verify_tables()
+        return report, EXIT_OK if report["pass"] else EXIT_VERIFY
     if key == ("verify", "specializations"):
-        report = verify_specializations(args.seed)
+        report = verify_specializations()
         return report, EXIT_OK if report["pass"] else EXIT_VERIFY
     if key == ("verify", "smoothing"):
         lam = _scalar(args.lam, "lambda")
         t = _scalar(args.t, "t")
         report = verify_smoothing_133(lam, t)
-        ok = all(c["pass"] for c in report["clauses"])
-        return report, EXIT_OK if ok else EXIT_VERIFY
+        return report, EXIT_OK if report["pass"] else EXIT_VERIFY
     if key == ("verify", "onr2"):
         if args.r > MAX_ONR2_R:
             raise InvalidInput(f"--r {args.r} is above the supported maximum {MAX_ONR2_R}")
@@ -223,9 +224,8 @@ def _run(args):
             raise InvalidInput("--lambdas is required for this command")
         lambdas = [_scalar(s, "lambdas") for s in args.lambdas.split(",")]
         t = _scalar(args.t, "t")
-        report = verify_deformation_1r2(args.r, lambdas, t, args.seed)
-        ok = all(c["pass"] for c in report["clauses"])
-        return report, EXIT_OK if ok else EXIT_VERIFY
+        report = verify_deformation_1r2(args.r, lambdas, t)
+        return report, EXIT_OK if report["pass"] else EXIT_VERIFY
     raise AssertionError("unreachable")
 
 
@@ -237,7 +237,7 @@ def main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         payload, code = _run(args)
-    except (InvalidInput, NotThreeDimensional, InvalidParameters) as exc:
+    except (InvalidInput, NotThreeDimensional, InvalidParameters, ZeroForm) as exc:
         payload, code = {"error": type(exc).__name__, "detail": str(exc)}, EXIT_INPUT
     except (
         InconsistentConfiguration,

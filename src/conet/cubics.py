@@ -271,7 +271,7 @@ def _cone_vertex(f):
     return ker[0]
 
 
-def classify_cubic(f, seed=0):
+def classify_cubic(f):
     """Singularity type of a plane cubic.
 
     Kinds: Zero, Smooth (with key), Node, Cusp, ConicSecant, ConicTangent,
@@ -304,7 +304,7 @@ def classify_cubic(f, seed=0):
     if report.dimension == 0 and report.length == 0:
         return CubicType("Smooth", aronhold(f).key)
     assert report.dimension == 0, "non-cone cubic has finite singular scheme"
-    n = support_count(partials, seed)
+    n = support_count(partials)
     table = {
         (1, 1): "Node",
         (1, 2): "Cusp",

@@ -9,23 +9,18 @@ tuples to Scalars.
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 from typing import NamedTuple
 
 from . import linalg
 from .errors import InconsistentSystem, InvalidParameters, VerificationFailure
 from .scalar import ONE, W, ZERO, Scalar
-from .spaces import agreed_support_count
+from .spaces import distinct_point_count
 
 
 # --------------------------------------------------------------------------
 # affine polynomial helpers
 # --------------------------------------------------------------------------
-
-
-def aterm(nv, exp, coeff):
-    return {tuple(exp): coeff} if coeff else {}
 
 
 def avar(nv, i, coeff=ONE):
@@ -163,9 +158,9 @@ def graded_hilbert(gens, nv, upto):
     return tuple(out)
 
 
-def affine_support_count(gens, nv, seed=0, max_bound=8, stabilization=None):
-    """Distinct points of an Artinian affine scheme, via a generic
-    multiplication operator on the truncated quotient.
+def affine_support_count(gens, nv, max_bound=8, stabilization=None):
+    """Distinct points of an Artinian affine scheme, via the multiplication
+    operators of x_1..x_nv on the truncated quotient.
 
     `stabilization` is the (length, degree) pair of the generators when the
     caller has already swept for it; otherwise the sweep runs here.
@@ -185,19 +180,14 @@ def affine_support_count(gens, nv, seed=0, max_bound=8, stabilization=None):
 
     def operator(lform):
         imgs = [reduce(_coeff_row(amul({b: ONE}, lform), index)) for b in basis]
-        return [[imgs[j][i] for j in range(length)] for i in range(length)]
+        return [list(row) for row in zip(*imgs)]
 
-    # transition: classes of the level-D basis in level-(D+1) coordinates
-    a1 = operator({(0,) * nv: ONE})
-    if linalg.rank(a1) != length:
+    # the unit is the transition: the level-D basis in level-(D+1) coordinates
+    unit = operator({(0,) * nv: ONE})
+    count = distinct_point_count(unit, [operator(avar(nv, i)) for i in range(nv)], basis)
+    if count is None:
         raise VerificationFailure("the degree-bound transition matrix is singular")
-    rng = random.Random(seed)
-
-    def draw():
-        lform = aadd(*[avar(nv, i, Scalar(rng.randint(-20, 20))) for i in range(nv)])
-        return a1, operator(lform)
-
-    return agreed_support_count(draw, VerificationFailure)
+    return count
 
 
 # --------------------------------------------------------------------------
@@ -476,7 +466,7 @@ def build_1r2(r, lambdas):
     }
 
 
-def verify_deformation_1r2(r, lambdas, t, seed=0, strict=False):
+def verify_deformation_1r2(r, lambdas, t, strict=False):
     """Check that the (1,r,2) relations extend along h_r -> h_r + t*X_r and
     that the total length r+3 is conserved."""
     lam = _check_params(r, lambdas)
@@ -496,7 +486,7 @@ def verify_deformation_1r2(r, lambdas, t, seed=0, strict=False):
                 if gname.startswith("X") and gname.endswith(f"X{r}"):
                     vec = _lin_coords(coeff, nv)
                     if vec[r - 1]:
-                        rel[gname] = aadd(coeff, aterm(nv, (0,) * nv, vec[r - 1] * t))
+                        rel[gname] = aadd(coeff, {(0,) * nv: vec[r - 1] * t})
         if _residual(rel, names, gens_t):
             bad.append(name)
     clauses.append(_clause("relations-extend", not bad, f"failed: {bad}"))
@@ -510,7 +500,7 @@ def verify_deformation_1r2(r, lambdas, t, seed=0, strict=False):
     hf0 = graded_hilbert(gens_0, nv, 3)
     clauses.append(_clause("graded-hf-at-t0", hf0 == (1, r, 2, 0), f"hf={hf0}"))
     if t:
-        support = affine_support_count(gens_t, nv, seed, stabilization=stabilization_t)
+        support = affine_support_count(gens_t, nv, stabilization=stabilization_t)
         clauses.append(_clause("support-count-2", support == 2, f"support={support}"))
     report = {"clauses": clauses, "pass": all(c["pass"] for c in clauses)}
     if strict and not report["pass"]:

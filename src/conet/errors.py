@@ -26,7 +26,7 @@ class NotThreeDimensional(ValueError):
 
 
 class GenericityFailure(RuntimeError):
-    """Repeated random draws never reached a generic configuration."""
+    """No form in a fixed finite search reached a generic configuration."""
 
 
 class Indeterminate(RuntimeError):

@@ -204,11 +204,14 @@ class HForm:
         try:
             degree = int(data["degree"])
             vars = tuple(data.get("vars", ("X", "Y", "Z")))
+            raw = data["coeffs"]
+            if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
+                raise InvalidInput("coeffs must map exponent strings to scalar strings")
             coeffs = {
                 tuple(int(t) for t in key.split(",")): parse_scalar(val)
-                for key, val in data["coeffs"].items()
+                for key, val in raw.items()
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInput(f"bad form JSON: {exc}") from exc
         if len(vars) != 3:
             raise InvalidInput("forms use exactly three variables")

@@ -196,14 +196,10 @@ def solve(rows, rhs):
     return x
 
 
-def mat_vec(rows, v):
-    return [sum((r[j] * v[j] for j in range(len(v))), ZERO) for r in rows]
-
-
 def mat_mul(a, b):
     n, m, p = len(a), len(b), len(b[0])
     return [
-        [sum((a[i][k] * b[k][j] for k in range(m)), ZERO) for j in range(p)]
+        [sum((a[i][k] * b[k][j] for k in range(m) if a[i][k] and b[k][j]), ZERO) for j in range(p)]
         for i in range(n)
     ]
 

@@ -8,7 +8,6 @@ distinct 2x2 minors (adjugate entries) of the symmetric matrix pencil.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import linalg
@@ -21,7 +20,7 @@ from .errors import (
 )
 from .forms import HForm, conic_matrix, form_det3, monomial_order
 from .scalar import ONE, ZERO, Scalar
-from .upoly import distinct_root_count, pgcd, roots_in_qw, trim
+from .upoly import pgcd, roots_in_qw, trim
 
 GRAM_DIAGONAL = [Scalar(2), Scalar(2), Scalar(2), ONE, ONE, ONE]
 
@@ -231,35 +230,53 @@ def _quotient_basis(gens, d):
     return order, free, reduce
 
 
-def agreed_support_count(draw, failure):
-    """Number of distinct eigenvalues of a1^-1 * a2, once two consecutive
-    draws agree.
+def distinct_point_count(unit, ops, basis):
+    """Number of distinct points over the algebraic closure of a
+    zero-dimensional scheme, or None when `unit` is singular.
 
-    draw() returns a pair (a1, a2) of square matrices, or None when its a1
-    is singular; `failure` is raised after eight draws without agreement.
+    `unit` and `ops` are square matrices of maps from a space A isomorphic
+    to the coordinate algebra into a second space; M_k = unit^-1 * op_k
+    multiplies by the k-th coordinate, and the products of the M_k given by
+    the exponent tuples in `basis` form a basis of A.  By Hermite's theorem
+    the count is the rank of the trace form Tr(M_a * M_b) on that basis
+    (Cox, Little and O'Shea, Using Algebraic Geometry, ch. 2 sec. 5).
     """
-    last = None
-    for _ in range(8):
-        pair = draw()
-        if pair is None:
-            continue
-        a1, a2 = pair
-        n = len(a1)
-        # the columns of a1^-1 * a2; its transpose has the same char_poly
-        op_t = [linalg.solve(a1, [a2[i][j] for i in range(n)]) for j in range(n)]
-        got = distinct_root_count(linalg.char_poly(op_t))
-        if last is not None and got == last:
-            return got
-        last = got
-    raise failure("support count never agreed across draws")
+    n, m = len(unit), len(ops)
+    rows = [list(unit[i]) + [x for op in ops for x in op[i]] for i in range(n)]
+    pivots, rmat = linalg.rref(rows)
+    if pivots != list(range(n)):
+        return None
+    units = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+    mats = {(0,) * m: None}  # the identity, which is never multiplied
+    mats.update((u, [row[n * (k + 1) : n * (k + 2)] for row in rmat]) for k, u in enumerate(units))
+
+    def mat(e):
+        if e not in mats:
+            u = units[next(i for i, x in enumerate(e) if x)]
+            mats[e] = linalg.mat_mul(mat(tuple(x - y for x, y in zip(e, u))), mats[u])
+        return mats[e]
+
+    def trace_of_product(a, b):
+        if a is None or b is None:
+            other = b if a is None else a
+            return Scalar(n) if other is None else linalg.trace(other)
+        return sum((x * b[j][i] for i, row in enumerate(a) for j, x in enumerate(row) if x), ZERO)
+
+    ms = [mat(e) for e in basis]
+    form = [[ZERO] * len(ms) for _ in ms]
+    for i in range(len(ms)):
+        for j in range(i, len(ms)):
+            form[i][j] = form[j][i] = trace_of_product(ms[i], ms[j])
+    return linalg.rank(form)
 
 
-def support_count(gens, seed=0):
+def support_count(gens):
     """Number of distinct closed points of a zero-dimensional scheme.
 
-    Builds two generic multiplication operators on a stable graded piece,
-    takes the separable degree of the characteristic polynomial of their
-    ratio, and requires two consecutive random draws to agree.
+    On a stable graded piece (R/I)_d, the unit of distinct_point_count is
+    multiplication by the first l_k = X + k*Y + k^2*Z, k = 0..2L, that maps
+    (R/I)_d onto (R/I)_(d+1).  A point lies on at most two lines l_k = 0, so
+    one of these 2L + 1 forms misses all L or fewer points.
     """
     report = graded_quotient_report(gens)
     assert report.dimension == 0, "support count needs a zero-dimensional scheme"
@@ -271,27 +288,19 @@ def support_count(gens, seed=0):
     order_d1, free_d1, reduce_d1 = _quotient_basis(gens, d + 1)
     assert len(free_d) == len(free_d1) == report.length
     vars = gens[0].vars
-    rng = random.Random(seed)
+    basis = [order_d[c] for c in free_d]
 
     def operator(lform):
-        cols = []
-        for c in free_d:
-            mono = HForm(d, {order_d[c]: ONE}, vars)
-            cols.append(reduce_d1((lform * mono).coeff_vector(order_d1)))
-        return [[cols[j][i] for j in range(len(cols))] for i in range(len(free_d1))]
+        cols = [reduce_d1((lform * HForm(d, {b: ONE}, vars)).coeff_vector(order_d1)) for b in basis]
+        return [list(row) for row in zip(*cols)]
 
-    def random_form():
-        return HForm(1, {e: Scalar(rng.randint(-20, 20)) for e in monomial_order(1)}, vars)
-
-    def draw():
-        l1 = random_form()
-        l2 = random_form()
-        a1 = operator(l1)
-        if linalg.rank(a1) != len(a1):
-            return None
-        return a1, operator(l2)
-
-    return agreed_support_count(draw, GenericityFailure)
+    ops = [operator(HForm(1, {e: ONE}, vars)) for e in monomial_order(1)]
+    for k in range(2 * report.length + 1):
+        unit = [[x + k * y + k * k * z for x, y, z in zip(*rows)] for rows in zip(*ops)]
+        count = distinct_point_count(unit, ops, basis)
+        if count is not None:
+            return count
+    raise GenericityFailure("no form X + k*Y + k^2*Z is a unit on the quotient")
 
 
 def _binary_coeffs(form, i0, i1):

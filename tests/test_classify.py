@@ -10,7 +10,8 @@ from conet.classify import (
     dual_pairs_check,
     verify_family,
 )
-from conet.cubics import hesse_net
+from conet.cubics import classify_cubic, hesse_net
+from conet.deform import verify_deformation_1r2
 from conet.errors import FamilyMismatch, NotThreeDimensional
 from conet.forms import parse_form
 from conet.golden import (
@@ -52,6 +53,21 @@ def test_classification_invariant_under_coordinates():
     for label, net in net_corpus().items():
         rep = classify_net(net.substitute(random_g(rng)))
         assert rep.orbit == label
+
+
+def test_no_random_draws(monkeypatch):
+    # sympy builds its own generator when it is first imported
+    import sympy  # noqa: F401
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("random.Random was called")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    corpus = net_corpus()
+    assert [classify_net(corpus[label]).orbit for label in ("6a", "6d", "7c")] == ["6a", "6d", "7c"]
+    assert classify_cubic(parse_form("X*Y*Z")).kind == "Triangle"
+    assert classify_cubic(parse_form("X*(X^2+Y^2-Z^2)")).kind == "ConicSecant"
+    assert verify_deformation_1r2(4, [2], 1)["pass"]
 
 
 def test_hesse_special_values():

@@ -1,8 +1,13 @@
+import contextlib
 import io
 import json
+import os
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conet.cli import main
 from conet.cubics import hesse_net
@@ -151,3 +156,97 @@ def test_verify_onr2_r_above_bound(capsys):
     )
     assert code == 3
     assert json.loads(out)["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("subject", ["classify", "hessian", "apolar"])
+def test_non_string_coefficients_are_malformed(tmp_path, capsys, subject):
+    number = {"degree": 3, "coeffs": {"3,0,0": 5}}
+    listed = {"degree": 3, "coeffs": ["3,0,0", "1"]}
+    for data in (number, listed, {"degree": 3, "forms": [number]}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out = run_cli([subject, "cubic", "--file", str(path)], capsys)
+        assert code == 3
+        assert json.loads(out)["error"] == "InvalidInput"
+
+
+def test_zero_cubic_apolar_is_malformed(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"degree": 3, "coeffs": {}}))
+    code, out = run_cli(["apolar", "cubic", "--file", str(path)], capsys)
+    assert code == 3
+    assert json.loads(out)["error"] == "ZeroForm"
+
+
+def test_verify_tables_reports_pass(capsys):
+    code, out = run_cli(["verify", "tables"], capsys)
+    data = json.loads(out)
+    assert code == 0
+    assert data["pass"] is True
+    assert all(c["pass"] for c in data["clauses"])
+
+
+FILE_COMMANDS = [
+    ("classify", "net"),
+    ("classify", "pencil"),
+    ("classify", "cubic"),
+    ("dual", "net"),
+    ("gamma", "net"),
+    ("preimage", "net"),
+    ("hessian", "cubic"),
+    ("apolar", "cubic"),
+]
+JSON_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(width=16),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 2), max_size=3),
+    st.just({}),
+)
+
+
+@st.composite
+def file_commands(draw):
+    """A file-taking command and its input: the forms it expects (three
+    conics for a net, two for a pencil, one cubic), with at most one field
+    replaced by a JSON value of another type or removed."""
+    command = draw(st.sampled_from(FILE_COMMANDS))
+    degree, count = {"net": (2, 3), "pencil": (2, 2), "cubic": (3, 1)}[command[1]]
+    keys = [f"{i},{j},{degree - i - j}" for i in range(degree + 1) for j in range(degree + 1 - i)]
+    scalars = st.sampled_from(["1", "-1", "2", "-3", "1/2", "w", "1+w", "-w", "0"])
+    forms = [
+        {"degree": degree, "coeffs": draw(st.dictionaries(st.sampled_from(keys), scalars, max_size=7))}
+        for _ in range(count)
+    ]
+    data = forms[0] if count == 1 and draw(st.booleans()) else {"degree": degree, "forms": forms}
+    target = draw(st.sampled_from(forms + [data]))
+    field = draw(st.sampled_from([None, "degree", "coeffs", "vars", "forms", "value", "key"]))
+    if field == "value" and target.get("coeffs"):
+        target["coeffs"][draw(st.sampled_from(sorted(target["coeffs"])))] = draw(JSON_JUNK)
+    elif field == "key" and "coeffs" in target:
+        target["coeffs"][draw(st.text(max_size=6))] = "1"
+    elif field in ("degree", "coeffs", "vars", "forms"):
+        if draw(st.booleans()):
+            target.pop(field, None)
+        else:
+            target[field] = draw(JSON_JUNK)
+    return command, data
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(file_commands())
+def test_file_commands_print_one_json_line(case):
+    command, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*command, "--file", path])
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    json.loads(lines[0])
+    assert 0 <= code <= 3

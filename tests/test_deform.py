@@ -57,6 +57,18 @@ def test_affine_support_count_two_points():
     assert affine_support_count(gens, 2) == 2
 
 
+def test_affine_support_count_points_outside_qw():
+    # V(x^2 - 2, y) = {(+-sqrt(2), 0)}
+    x, y = avar(2, 0), avar(2, 1)
+    assert affine_support_count([aadd(amul(x, x), {(0, 0): Scalar(-2)}), y], 2) == 2
+
+
+def test_affine_support_count_fat_point():
+    # V(x^2, y) is the origin with length 2
+    x, y = avar(2, 0), avar(2, 1)
+    assert affine_support_count([amul(x, x), y], 2) == 1
+
+
 def test_smoothing_clauses():
     report = verify_smoothing_133(ONE, ONE)
     assert all(c["pass"] for c in report["clauses"])

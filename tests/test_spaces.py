@@ -76,6 +76,11 @@ def test_support_count_6d():
     assert support_count(discriminant_minors_6d()) == 3
 
 
+def test_support_count_points_outside_qw():
+    # V(X^2 - 2Z^2, Y) = {(+-sqrt(2) : 0 : 1)}
+    assert support_count([parse_form("X^2-2*Z^2"), parse_form("Y")]) == 2
+
+
 def discriminant_minors_6d():
     from conet.spaces import minor_forms
 
