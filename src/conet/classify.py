@@ -25,8 +25,6 @@ from .spaces import (
     orbit_dimension,
     orthogonal_complement,
     pencil_determinant,
-    rank_one_report,
-    rational_points,
     support_count,
 )
 from .cubics import (
@@ -113,13 +111,14 @@ def _net_label_and_gamma(net):
     assert_net(net)
     gamma = discriminant_cubic(net)
     gtype = classify_cubic(gamma)
-    delta_report = rank_one_report(net)
+    minors = minor_forms(net)
+    delta_report = graded_quotient_report(minors)
     if delta_report.dimension == 1:
         delta = None
     elif delta_report.length == 0:
         delta = 0
     else:
-        delta = support_count(minor_forms(net))
+        delta = support_count(minors, delta_report)
     if gtype.kind == "Zero":
         if delta_report.dimension == 1:
             return "2b", gtype, delta, None
@@ -129,12 +128,15 @@ def _net_label_and_gamma(net):
     if gtype.kind == "ConcurrentLines":
         raise InconsistentConfiguration("discriminant consisting of concurrent lines")
     if delta:
-        for pt in rational_points(minor_forms(net)):
-            for i in range(3):
-                if gamma.diff(i).eval(pt):
-                    raise InconsistentConfiguration(
-                        f"rank-one point {pt} is not singular on the discriminant"
-                    )
+        # Jacobi's formula d(det M) = tr(adj(M) dM) makes each partial of the
+        # discriminant a combination of the minors, so it vanishes at every
+        # rank-one point over the algebraic closure.
+        span = LinearSystem(minors)
+        for i in range(3):
+            if not span.contains(gamma.diff(i)):
+                raise InconsistentConfiguration(
+                    f"d/d{gamma.vars[i]} of the discriminant is not in the span of the minors"
+                )
     key = None
     if (gtype.kind, delta) == ("DoubleLinePlusLine", 2):
         dim = orbit_dimension(net)

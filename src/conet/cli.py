@@ -49,7 +49,7 @@ from .golden import (
 )
 from .forms import parse_form
 from .scalar import Scalar, parse_scalar
-from .spaces import LinearSystem, discriminant_cubic, orthogonal_complement
+from .spaces import LinearSystem, discriminant_cubic, forms_from_json, orthogonal_complement
 
 COMMANDS = {
     ("classify", "net"),
@@ -74,6 +74,15 @@ EXIT_INPUT = 3
 # Largest --r for verify onr2.  A cold run takes about 4x longer per step
 # of r: on a 2-CPU machine r=7 took 4.3 s and r=8 took 18 s.
 MAX_ONR2_R = 7
+
+# Every command works on conics or cubics.  A higher stated degree is refused
+# before LinearSystem builds its monomial order, whose size grows with the
+# square of the degree.
+MAX_DEGREE = 3
+
+# Options whose value may start with "-" (a negative scalar such as -1/3),
+# which argparse would otherwise read as an option.
+SCALAR_OPTIONS = ("--lambda", "--t", "--lambdas")
 
 
 def _parser():
@@ -107,14 +116,22 @@ def _load_json(path):
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _system(data):
+    forms = forms_from_json(data)
+    degree = max(f.degree for f in forms)
+    if degree > MAX_DEGREE:
+        raise InvalidInput(f"degree {degree} is above {MAX_DEGREE}: commands take conics or cubics")
+    return LinearSystem(forms)
+
+
 def _load_system(path):
-    return LinearSystem.from_json(_load_json(path))
+    return _system(_load_json(path))
 
 
 def _load_cubic(path):
     data = _load_json(path)
     if isinstance(data, dict) and "forms" in data:
-        system = LinearSystem.from_json(data)
+        system = _system(data)
         if len(system.forms) != 1:
             raise InvalidInput("expected a single cubic form")
         form = system.forms[0]
@@ -229,10 +246,22 @@ def _run(args):
     raise AssertionError("unreachable")
 
 
+def _attach_scalar_values(argv):
+    """Write `--t -1/3` as `--t=-1/3`, which argparse reads as a value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in SCALAR_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_scalar_values(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:

@@ -304,7 +304,7 @@ def classify_cubic(f):
     if report.dimension == 0 and report.length == 0:
         return CubicType("Smooth", aronhold(f).key)
     assert report.dimension == 0, "non-cone cubic has finite singular scheme"
-    n = support_count(partials)
+    n = support_count(partials, report)
     table = {
         (1, 1): "Node",
         (1, 2): "Cusp",

@@ -76,18 +76,19 @@ class LinearSystem:
     def to_json(self):
         return {"degree": self.degree, "forms": [f.to_json() for f in self.forms]}
 
-    @classmethod
-    def from_json(cls, data):
-        try:
-            forms = [HForm.from_json(f) for f in data["forms"]]
-        except (KeyError, TypeError) as exc:
-            raise InvalidInput(f"bad linear system JSON: {exc}") from exc
-        if not forms:
-            raise InvalidInput("linear system needs at least one form")
-        return cls(forms)
-
     def __repr__(self):
         return "LinearSystem[" + "; ".join(str(f) for f in self.forms) + "]"
+
+
+def forms_from_json(data):
+    """The generators of a linear-system JSON object, as forms."""
+    try:
+        forms = [HForm.from_json(f) for f in data["forms"]]
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput(f"bad linear system JSON: {exc}") from exc
+    if not forms:
+        raise InvalidInput("linear system needs at least one form")
+    return forms
 
 
 def assert_net(system):
@@ -270,15 +271,17 @@ def distinct_point_count(unit, ops, basis):
     return linalg.rank(form)
 
 
-def support_count(gens):
+def support_count(gens, report=None):
     """Number of distinct closed points of a zero-dimensional scheme.
 
     On a stable graded piece (R/I)_d, the unit of distinct_point_count is
     multiplication by the first l_k = X + k*Y + k^2*Z, k = 0..2L, that maps
     (R/I)_d onto (R/I)_(d+1).  A point lies on at most two lines l_k = 0, so
-    one of these 2L + 1 forms misses all L or fewer points.
+    one of these 2L + 1 forms misses all L or fewer points.  `report` is
+    graded_quotient_report(gens) when the caller already has it.
     """
-    report = graded_quotient_report(gens)
+    if report is None:
+        report = graded_quotient_report(gens)
     assert report.dimension == 0, "support count needs a zero-dimensional scheme"
     if report.length == 0:
         return 0

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conet import linalg
+from conet import classify, linalg
 from conet.classify import (
     EXPECTED_DUALS,
     classify_net,
@@ -12,8 +14,8 @@ from conet.classify import (
 )
 from conet.cubics import classify_cubic, hesse_net
 from conet.deform import verify_deformation_1r2
-from conet.errors import FamilyMismatch, NotThreeDimensional
-from conet.forms import parse_form
+from conet.errors import FamilyMismatch, InconsistentConfiguration, NotThreeDimensional
+from conet.forms import HForm, parse_form
 from conet.golden import (
     BASE_POINT_FREE,
     NET_FAMILIES,
@@ -24,7 +26,7 @@ from conet.golden import (
     pencil_corpus,
 )
 from conet.scalar import W, ZERO, Scalar
-from conet.spaces import LinearSystem, orthogonal_complement
+from conet.spaces import LinearSystem, discriminant_cubic, minor_forms, orthogonal_complement
 
 
 def random_g(rng):
@@ -135,3 +137,30 @@ def test_j_constant_family_keys_equal():
     spec = next(s for s in NET_FAMILIES if s.j_constant)
     report = verify_family(spec, family_samples(spec))
     assert report["pass"] and report["keys_equal"]
+
+
+small = st.integers(min_value=-3, max_value=3)
+qw_entries = st.one_of(st.just(ZERO), st.builds(Scalar, small, small))
+conics = st.lists(qw_entries, min_size=6, max_size=6).map(lambda v: HForm.from_coeff_vector(2, v))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(conics, min_size=3, max_size=3))
+def test_discriminant_partials_lie_in_span_of_minors(forms):
+    net = LinearSystem(forms)
+    assume(net.dimension == 3)
+    span = LinearSystem(minor_forms(net))
+    gamma = discriminant_cubic(net)
+    assert all(span.contains(gamma.diff(k)) for k in range(3))
+
+
+def test_partial_outside_span_of_minors_is_inconsistent(monkeypatch):
+    # the minors of the net with its generators rotated cut out the same
+    # number of points, but do not span the partials of its discriminant
+    def rotated_minors(net):
+        f = net.forms
+        return minor_forms(LinearSystem([f[1], f[2], f[0]]))
+
+    monkeypatch.setattr(classify, "minor_forms", rotated_minors)
+    with pytest.raises(InconsistentConfiguration):
+        classify_net(net_corpus()["7b"])

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conet
 from conet.cli import main
 from conet.cubics import hesse_net
 from conet.forms import parse_form
+from conet.golden import net_corpus, pencil_corpus
 from conet.spaces import LinearSystem
 
 
@@ -156,6 +159,85 @@ def test_verify_onr2_r_above_bound(capsys):
     )
     assert code == 3
     assert json.loads(out)["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["smoothing", "--lambda", "2+w", "--t", "-1/3"], ["smoothing", "--lambda", "2+w", "--t=-1/3"]),
+        (["smoothing", "--lambda", "-1/2", "--t", "2"], ["smoothing", "--lambda=-1/2", "--t", "2"]),
+        (["onr2", "--r", "4", "--lambdas", "-1", "--t", "-w"], ["onr2", "--r", "4", "--lambdas=-1", "--t=-w"]),
+    ],
+)
+def test_negative_scalar_after_a_space(capsys, spaced, joined):
+    code, out = run_cli(["verify", *spaced], capsys)
+    assert (code, out) == run_cli(["verify", *joined], capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+CLI_PROBE = """
+import contextlib, io, json, resource, sys, time
+# an address-space cap turns a runaway allocation into a quick MemoryError
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from conet.cli import main
+out = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+seconds = time.perf_counter() - start
+errors = [json.loads(line).get("error") for line in out.getvalue().splitlines()]
+print(json.dumps({"codes": codes, "errors": errors, "seconds": seconds, "sympy": "sympy" in sys.modules}))
+"""
+
+
+def run_fresh(argvs):
+    """Run cli.main on each argument list in a fresh interpreter; return the
+    exit codes, the error names, the seconds taken and whether sympy was
+    imported."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(conet.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_PROBE, json.dumps(argvs)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_cli_commands_do_not_import_sympy(tmp_path):
+    argvs = []
+    for label, net in net_corpus().items():
+        path = tmp_path / f"net_{label}.json"
+        path.write_text(json.dumps(net.to_json()))
+        argvs += [[verb, "net", "--file", str(path)] for verb in ("classify", "dual", "gamma", "preimage")]
+    for label, pencil in pencil_corpus().items():
+        path = tmp_path / f"pencil_{label}.json"
+        path.write_text(json.dumps(pencil.to_json()))
+        argvs.append(["classify", "pencil", "--file", str(path)])
+    for i, text in enumerate(["X^3+Y^3+Z^3", "Y^2*Z-X^3-X^2*Z", "X*Y*Z"]):
+        path = tmp_path / f"cubic_{i}.json"
+        path.write_text(json.dumps(parse_form(text).to_json()))
+        argvs.append(["classify", "cubic", "--file", str(path)])
+    result = run_fresh(argvs)
+    assert result["codes"] == [0] * len(argvs)
+    assert result["sympy"] is False
+
+
+def test_stated_degree_above_three_is_refused_early(tmp_path):
+    degree = 10**6
+    forms = [{"degree": degree, "coeffs": {f"{degree},0,0": "1"}}] + [{"degree": degree, "coeffs": {}}] * 2
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps({"degree": degree, "forms": forms}))
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps({"degree": degree, "forms": forms[:1]}))
+    argvs = [[verb, "net", "--file", str(path)] for verb in ("classify", "dual", "gamma", "preimage")]
+    argvs += [["classify", "pencil", "--file", str(path)], ["classify", "cubic", "--file", str(single)]]
+    result = run_fresh(argvs)
+    assert result["codes"] == [3] * len(argvs)
+    assert result["errors"] == ["InvalidInput"] * len(argvs)
+    assert result["seconds"] < 1.0
 
 
 @pytest.mark.parametrize("subject", ["classify", "hessian", "apolar"])
