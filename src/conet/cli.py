@@ -19,7 +19,7 @@ from .cubics import (
     jacobian_net,
     jacobian_preimage,
 )
-from .deform import _clause, verify_deformation_1r2, verify_smoothing_133
+from .deform import _clause, _report, verify_deformation_1r2, verify_smoothing_133
 from .errors import (
     DualityMismatch,
     FamilyMismatch,
@@ -71,8 +71,8 @@ EXIT_CLASSIFY = 1
 EXIT_VERIFY = 2
 EXIT_INPUT = 3
 
-# Largest --r for verify onr2.  A cold run takes about 4x longer per step
-# of r: on a 2-CPU machine r=7 took 4.3 s and r=8 took 18 s.
+# Largest --r for verify onr2.  A cold run takes 2 to 2.5x longer per step
+# of r: on a 2-CPU machine r=7 took 0.71 s and r=8 took 1.75 s.
 MAX_ONR2_R = 7
 
 # Every command works on conics or cubics.  A higher stated degree is refused
@@ -184,7 +184,7 @@ def verify_tables():
         if got != expect:
             bad.append(f"{text}: {got} != {expect}")
     clauses.append(_clause("polar-table", not bad, "; ".join(bad)))
-    return {"clauses": clauses, "pass": all(c["pass"] for c in clauses)}
+    return _report(clauses)
 
 
 def verify_specializations():

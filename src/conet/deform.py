@@ -15,7 +15,7 @@ from typing import NamedTuple
 from . import linalg
 from .errors import InconsistentSystem, InvalidParameters, VerificationFailure
 from .scalar import ONE, W, ZERO, Scalar
-from .spaces import distinct_point_count
+from .spaces import distinct_point_count, multiplication_matrices
 
 
 # --------------------------------------------------------------------------
@@ -95,10 +95,6 @@ def monomials_upto(nv, d):
     return out
 
 
-def monomials_of(nv, d):
-    return [e for e in monomials_upto(nv, d) if sum(e) == d]
-
-
 def _coeff_row(poly, index):
     """Coefficient vector of a polynomial over the monomials of `index`."""
     row = [ZERO] * len(index)
@@ -116,78 +112,84 @@ def _rows_for(gens, nv, bound, cols_index):
     return rows
 
 
-def truncated_codimension(gens, nv, bound):
-    """dim of polynomials of degree <= bound modulo generator multiples."""
+def _level(gens, nv, bound):
+    """Monomials of degree <= bound, their index, and the free columns and
+    reducer modulo the generator multiples of degree <= bound."""
     cols = monomials_upto(nv, bound)
     index = {e: i for i, e in enumerate(cols)}
-    return len(cols) - linalg.rank(_rows_for(gens, nv, bound, index))
+    free, reduce = linalg.reducer(_rows_for(gens, nv, bound, index), len(cols))
+    return cols, index, free, reduce
 
 
-def _stabilization(gens, nv, max_bound=8):
-    """(length, degree): the truncated codimension once three consecutive
-    bounds agree, and the first of those three bounds."""
-    vals = []
-    for d in range(1, max_bound + 1):
-        vals.append(truncated_codimension(gens, nv, d))
-        if len(vals) >= 3 and vals[-1] == vals[-2] == vals[-3]:
-            return vals[-1], d - 2
-    raise VerificationFailure(f"affine length did not stabilize: {vals}")
+# the largest degree bound certified_algebra reduces modulo the generators
+MAX_BOUND = 8
 
 
-def stabilized_length(gens, nv, max_bound=8):
-    """Truncated codimension once three consecutive bounds agree."""
-    return _stabilization(gens, nv, max_bound)[0]
+def certified_algebra(gens, nv):
+    """(basis, mats) of the coordinate algebra R/I of an Artinian affine ideal.
+
+    At degree bound D, V is the polynomials of degree <= D modulo the
+    generator multiples of degree <= D, with the monomial basis `basis`;
+    unit and op_i map V to the same quotient at bound D+1, by inclusion and
+    by multiplication by x_i.  The sweep starts at D = max(1, e - 1) for the
+    top generator degree e and accepts the first D where unit is square and
+    invertible and the M_i = unit^-1 * op_i commute.  Then
+      * every polynomial is congruent modulo I to one of degree <= D, so
+        dim R/I <= len(basis);
+      * m(M) * [1] = unit^-1 * [m]_(D+1) for every monomial m of degree
+        <= D+1.  So b(M) * [1] is the basis vector of b, and each generator
+        g (of degree <= D+1, zero at bound D+1) has g(M) * [1] = 0: f ->
+        f(M) * [1] maps R/I onto V, and dim R/I >= len(basis).
+    V is then R/I, and M_i multiplies by x_i (Kreuzer and Robbiano,
+    Computational Commutative Algebra 2, sec. 6.4).
+    """
+    units = [tuple(int(j == i) for j in range(nv)) for i in range(nv)]
+    start = max(1, max(sum(e) for g in gens for e in g) - 1)
+    lower = _level(gens, nv, start)
+    for bound in range(start, MAX_BOUND):
+        upper = _level(gens, nv, bound + 1)
+        (cols, _index, free, _reduce), (_cols, index1, free1, reduce1) = lower, upper
+        lower = upper
+        if len(free) != len(free1):
+            continue
+        basis = [cols[c] for c in free]
+        images = {}  # monomial -> its bound-(D+1) coordinates
+
+        def operator(u):  # multiplication by the monomial u
+            shifted = [tuple(x + y for x, y in zip(b, u)) for b in basis]
+            for e in shifted:
+                if e not in images:
+                    images[e] = reduce1(_coeff_row({e: ONE}, index1))
+            return [list(row) for row in zip(*(images[e] for e in shifted))]
+
+        mats = multiplication_matrices(operator((0,) * nv), [operator(u) for u in units])
+        if mats is not None and all(
+            linalg.mat_mul(a, b) == linalg.mat_mul(b, a) for a, b in combinations(mats, 2)
+        ):
+            return basis, mats
+    raise VerificationFailure(f"no degree bound up to {MAX_BOUND} certifies a finite algebra")
+
+
+def stabilized_length(gens, nv):
+    """Length of R/I for an Artinian affine ideal: the size of the
+    certified basis of certified_algebra."""
+    return len(certified_algebra(gens, nv)[0])
 
 
 def graded_hilbert(gens, nv, upto):
-    """Graded Hilbert function of homogeneous affine generators."""
-    out = []
-    for d in range(upto + 1):
-        cols = monomials_of(nv, d)
-        index = {e: i for i, e in enumerate(cols)}
-        rows = []
-        for g in gens:
-            dg = max(sum(e) for e in g)
-            if any(sum(e) != dg for e in g):
-                raise VerificationFailure("graded_hilbert needs homogeneous input")
-            if d < dg:
-                continue
-            for q in monomials_of(nv, d - dg):
-                rows.append(_coeff_row(amul({q: ONE}, g), index))
-        out.append(len(cols) - linalg.rank(rows))
-    return tuple(out)
+    """Graded Hilbert function of homogeneous affine generators: for them
+    the codimension at degree bound d is h(0) + ... + h(d)."""
+    if any(len({sum(e) for e in g}) > 1 for g in gens):
+        raise VerificationFailure("graded_hilbert needs homogeneous input")
+    codims = [0] + [len(_level(gens, nv, d)[2]) for d in range(upto + 1)]
+    return tuple(b - a for a, b in zip(codims, codims[1:]))
 
 
-def affine_support_count(gens, nv, max_bound=8, stabilization=None):
-    """Distinct points of an Artinian affine scheme, via the multiplication
-    operators of x_1..x_nv on the truncated quotient.
-
-    `stabilization` is the (length, degree) pair of the generators when the
-    caller has already swept for it; otherwise the sweep runs here.
-    """
-    length, stable = stabilization or _stabilization(gens, nv, max_bound)
-    lo_cols = monomials_upto(nv, stable)
-    lo_index = {e: i for i, e in enumerate(lo_cols)}
-    lo_free, _lo_reduce = linalg.reducer(_rows_for(gens, nv, stable, lo_index), len(lo_cols))
-    basis = [lo_cols[c] for c in lo_free]
-    if len(basis) != length:
-        raise VerificationFailure(f"{len(basis)} basis monomials for length {length}")
-    cols = monomials_upto(nv, stable + 1)
-    index = {e: i for i, e in enumerate(cols)}
-    free, reduce = linalg.reducer(_rows_for(gens, nv, stable + 1, index), len(cols))
-    if len(free) != length:
-        raise VerificationFailure(f"{len(free)} free columns for length {length}")
-
-    def operator(lform):
-        imgs = [reduce(_coeff_row(amul({b: ONE}, lform), index)) for b in basis]
-        return [list(row) for row in zip(*imgs)]
-
-    # the unit is the transition: the level-D basis in level-(D+1) coordinates
-    unit = operator({(0,) * nv: ONE})
-    count = distinct_point_count(unit, [operator(avar(nv, i)) for i in range(nv)], basis)
-    if count is None:
-        raise VerificationFailure("the degree-bound transition matrix is singular")
-    return count
+def affine_support_count(gens, nv):
+    """Distinct points of an Artinian affine scheme: the trace-form rank on
+    the multiplication matrices of certified_algebra."""
+    basis, mats = certified_algebra(gens, nv)
+    return distinct_point_count(mats, basis)
 
 
 # --------------------------------------------------------------------------
@@ -197,6 +199,15 @@ def affine_support_count(gens, nv, max_bound=8, stabilization=None):
 
 def _clause(name, ok, detail=""):
     return {"name": name, "pass": bool(ok), "detail": detail}
+
+
+def _report(clauses, strict=False):
+    """The verdict on a list of clauses; with `strict`, a failed clause raises."""
+    report = {"clauses": clauses, "pass": all(c["pass"] for c in clauses)}
+    if strict and not report["pass"]:
+        bad = next(c for c in clauses if not c["pass"])
+        raise VerificationFailure(f"clause {bad['name']} failed: {bad['detail']}")
+    return report
 
 
 def verify_smoothing_133(lam, t, strict=False):
@@ -235,11 +246,7 @@ def verify_smoothing_133(lam, t, strict=False):
     clauses.append(_clause("affine-length-7", length == 7, f"length={length}"))
     hf = graded_hilbert(gens_at(ZERO), nv, 3)
     clauses.append(_clause("graded-hf-1330-at-t0", hf == (1, 3, 3, 0), f"hf={hf}"))
-    report = {"clauses": clauses, "pass": all(c["pass"] for c in clauses)}
-    if strict and not report["pass"]:
-        bad = next(c for c in clauses if not c["pass"])
-        raise VerificationFailure(f"clause {bad['name']} failed: {bad['detail']}")
-    return report
+    return _report(clauses, strict)
 
 
 # --------------------------------------------------------------------------
@@ -366,7 +373,7 @@ class _Syzygies(NamedTuple):
 def _multiples_matrix(gens, nv):
     """Rows over the cubic monomials, one column per (generator, variable)
     pair, generator-major: the coefficients of x_v * g."""
-    deg3 = monomials_of(nv, 3)
+    deg3 = [e for e in monomials_upto(nv, 3) if sum(e) == 3]
     index = {e: i for i, e in enumerate(deg3)}
     cols = [_coeff_row(amul(avar(nv, v), g), index) for g in gens for v in range(nv)]
     return index, [list(row) for row in zip(*cols)]
@@ -454,7 +461,7 @@ def build_1r2(r, lambdas):
             {"name": name, "printed_ok": False, "relation": corrected, "changes": changes}
         )
     _index, mat = _multiples_matrix(gens, nv)
-    syzygy_dim = len(linalg.kernel_basis(mat, len(gens) * nv))
+    syzygy_dim = len(gens) * nv - linalg.rank(mat)
     return {
         "f": f,
         "g": g,
@@ -490,8 +497,8 @@ def verify_deformation_1r2(r, lambdas, t, strict=False):
         if _residual(rel, names, gens_t):
             bad.append(name)
     clauses.append(_clause("relations-extend", not bad, f"failed: {bad}"))
-    stabilization_t = _stabilization(gens_t, nv)
-    len_t = stabilization_t[0]
+    basis_t, mats_t = certified_algebra(gens_t, nv)
+    len_t = len(basis_t)
     _n0, gens_0 = _generators_1r2(r, lam, ZERO)
     len_0 = stabilized_length(gens_0, nv)
     clauses.append(
@@ -500,10 +507,6 @@ def verify_deformation_1r2(r, lambdas, t, strict=False):
     hf0 = graded_hilbert(gens_0, nv, 3)
     clauses.append(_clause("graded-hf-at-t0", hf0 == (1, r, 2, 0), f"hf={hf0}"))
     if t:
-        support = affine_support_count(gens_t, nv, stabilization=stabilization_t)
+        support = distinct_point_count(mats_t, basis_t)
         clauses.append(_clause("support-count-2", support == 2, f"support={support}"))
-    report = {"clauses": clauses, "pass": all(c["pass"] for c in clauses)}
-    if strict and not report["pass"]:
-        badc = next(c for c in clauses if not c["pass"])
-        raise VerificationFailure(f"clause {badc['name']} failed: {badc['detail']}")
-    return report
+    return _report(clauses, strict)

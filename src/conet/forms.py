@@ -140,9 +140,6 @@ class HForm:
             return False
         return self.normalized().coeffs == other.normalized().coeffs
 
-    def rename(self, vars):
-        return HForm(self.degree, dict(self.coeffs), vars)
-
     def normalized(self):
         """Scale so the first nonzero coefficient (in monomial order) is 1."""
         if not self.coeffs:

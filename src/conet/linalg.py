@@ -197,11 +197,15 @@ def solve(rows, rhs):
 
 
 def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(m) if a[i][k] and b[k][j]), ZERO) for j in range(p)]
-        for i in range(n)
-    ]
+    """Product of matrices given as rows; zero entries of `a` cost nothing."""
+    out = []
+    for row in a:
+        acc = [ZERO] * len(b[0])
+        for k, x in enumerate(row):
+            if x:
+                acc = [s + x * y if y else s for s, y in zip(acc, b[k])]
+        out.append(acc)
+    return out
 
 
 def identity(n):

@@ -9,6 +9,7 @@ distinct 2x2 minors (adjugate entries) of the symmetric matrix pencil.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from . import linalg
 from .errors import (
@@ -158,13 +159,6 @@ class SchemeReport:
     dimension: int
     length: object  # int for dimension 0, None (infinite) for dimension 1
 
-    def to_json(self):
-        return {
-            "hilbert": [int(h) for h in self.hilbert],
-            "dimension": self.dimension,
-            "length": "infinite" if self.length is None else self.length,
-        }
-
 
 def _span_rows(gens, d, order):
     """Coefficient rows of all degree-d multiples of the generators."""
@@ -181,42 +175,52 @@ def _span_rows(gens, d, order):
     return rows
 
 
-def ideal_codimension(gens, d):
-    """dim of the degree-d piece of the ideal generated by gens."""
-    order = monomial_order(d)
-    rows = _span_rows(gens, d, order)
-    return linalg.rank(rows)
-
-
 def hilbert_value(gens, d):
+    """dim (R/I)_d for the ideal I generated by gens."""
     order = monomial_order(d)
-    return len(order) - ideal_codimension(gens, d)
+    return len(order) - linalg.rank(_span_rows(gens, d, order))
+
+
+def _macaulay_bound(h, d):
+    """h^<d>, Macaulay's bound on h(d+1) when h(d) = h: write h greedily as
+    C(k_d, d) + C(k_(d-1), d-1) + ... and raise each C(k_i, i) to C(k_i+1, i+1)."""
+    out = 0
+    while h:
+        k = d
+        while comb(k + 1, d) <= h:
+            k += 1
+        out += comb(k + 1, d + 1)
+        h -= comb(k, d)
+        d -= 1
+    return out
 
 
 def graded_quotient_report(gens):
-    """Hilbert function of R/(gens) with early stabilization detection.
+    """Hilbert function of R/(gens), certified by Gotzmann persistence.
 
-    Declares dimension 0 once three consecutive values agree (length is the
-    stable value) and dimension 1 once three consecutive first differences
-    agree and are positive.  Gives up after degree 12.
+    Probes d = 0, 1, ... up to the first d >= e, the top generator degree,
+    with h(d+1) = h(d)^<d> (Macaulay's bound).  By Gotzmann's persistence
+    theorem h then grows maximally in every higher degree: it is constant
+    when h(d) <= d (dimension 0, length h(d)) and strictly increasing
+    otherwise (dimension 1).  h(d) = 0 also stops (the empty scheme).  A
+    finite scheme has length at most e^2, and only d >= length certifies
+    it; the probe gives up after degree max(12, e^2 + 1).
     """
     gens = [g for g in gens if g]
     if not gens:
         raise ZeroForm("graded report needs at least one nonzero generator")
+    top = max(g.degree for g in gens)
     hf = []
-    for d in range(13):
+    for d in range(max(13, top * top + 2)):
         hf.append(hilbert_value(gens, d))
-        n = len(hf)
         if hf[-1] == 0:
             # the quotient vanishes in high degrees: empty scheme
             return SchemeReport(tuple(hf), 0, 0)
-        if n >= 3 and hf[-1] == hf[-2] == hf[-3]:
-            return SchemeReport(tuple(hf), 0, hf[-1])
-        if n >= 4:
-            d1, d2, d3 = hf[-1] - hf[-2], hf[-2] - hf[-3], hf[-3] - hf[-4]
-            if d1 == d2 == d3 and d1 > 0:
-                return SchemeReport(tuple(hf), 1, None)
-    raise Indeterminate(f"Hilbert function did not stabilize by degree 12: {hf}")
+        if d > top and hf[-1] == _macaulay_bound(hf[-2], d - 1):
+            if hf[-2] <= d - 1:
+                return SchemeReport(tuple(hf), 0, hf[-2])
+            return SchemeReport(tuple(hf), 1, None)
+    raise Indeterminate(f"Hilbert function did not stabilize by degree {d}: {hf}")
 
 
 def rank_one_report(net):
@@ -224,72 +228,70 @@ def rank_one_report(net):
     return graded_quotient_report(minor_forms(net))
 
 
-def _quotient_basis(gens, d):
-    """Monomial basis of (R/I)_d together with a reducer to coordinates."""
-    order = monomial_order(d)
-    free, reduce = linalg.reducer(_span_rows(gens, d, order), len(order))
-    return order, free, reduce
-
-
-def distinct_point_count(unit, ops, basis):
-    """Number of distinct points over the algebraic closure of a
-    zero-dimensional scheme, or None when `unit` is singular.
-
-    `unit` and `ops` are square matrices of maps from a space A isomorphic
-    to the coordinate algebra into a second space; M_k = unit^-1 * op_k
-    multiplies by the k-th coordinate, and the products of the M_k given by
-    the exponent tuples in `basis` form a basis of A.  By Hermite's theorem
-    the count is the rank of the trace form Tr(M_a * M_b) on that basis
-    (Cox, Little and O'Shea, Using Algebraic Geometry, ch. 2 sec. 5).
-    """
-    n, m = len(unit), len(ops)
+def multiplication_matrices(unit, ops):
+    """M_k = unit^-1 * op_k from one rref of [unit | op_1 | ... | op_n], or
+    None when `unit` is singular (not all of its columns are pivots)."""
+    n = len(unit)
     rows = [list(unit[i]) + [x for op in ops for x in op[i]] for i in range(n)]
     pivots, rmat = linalg.rref(rows)
     if pivots != list(range(n)):
         return None
+    return [[row[n * (k + 1) : n * (k + 2)] for row in rmat] for k in range(len(ops))]
+
+
+def distinct_point_count(mats, basis):
+    """Number of distinct points over the algebraic closure of a
+    zero-dimensional scheme.
+
+    `mats` are the matrices M_k of multiplication by the k-th coordinate on
+    a space isomorphic to the coordinate algebra, and the products of the
+    M_k given by the exponent tuples in `basis` form a basis of it.  By
+    Hermite's theorem the count is the rank of the trace form
+    Tr(M_a * M_b) on that basis (Cox, Little and O'Shea, Using Algebraic
+    Geometry, ch. 2 sec. 5).
+    """
+    n, m = len(basis), len(mats)
     units = [tuple(int(i == k) for i in range(m)) for k in range(m)]
-    mats = {(0,) * m: None}  # the identity, which is never multiplied
-    mats.update((u, [row[n * (k + 1) : n * (k + 2)] for row in rmat]) for k, u in enumerate(units))
+    products = dict(zip(units, mats))
+    products[(0,) * m] = linalg.identity(n)
 
     def mat(e):
-        if e not in mats:
+        if e not in products:
             u = units[next(i for i, x in enumerate(e) if x)]
-            mats[e] = linalg.mat_mul(mat(tuple(x - y for x, y in zip(e, u))), mats[u])
-        return mats[e]
-
-    def trace_of_product(a, b):
-        if a is None or b is None:
-            other = b if a is None else a
-            return Scalar(n) if other is None else linalg.trace(other)
-        return sum((x * b[j][i] for i, row in enumerate(a) for j, x in enumerate(row) if x), ZERO)
+            products[e] = linalg.mat_mul(mat(tuple(x - y for x, y in zip(e, u))), products[u])
+        return products[e]
 
     ms = [mat(e) for e in basis]
-    form = [[ZERO] * len(ms) for _ in ms]
-    for i in range(len(ms)):
-        for j in range(i, len(ms)):
-            form[i][j] = form[j][i] = trace_of_product(ms[i], ms[j])
+    form = [[ZERO] * n for _ in ms]
+    for a in range(n):
+        for b in range(a, n):
+            # Tr(A B): the entries of A times those of B transposed
+            terms = (x * y for ra, cb in zip(ms[a], zip(*ms[b])) for x, y in zip(ra, cb) if x)
+            form[a][b] = form[b][a] = sum(terms, ZERO)
     return linalg.rank(form)
 
 
 def support_count(gens, report=None):
     """Number of distinct closed points of a zero-dimensional scheme.
 
-    On a stable graded piece (R/I)_d, the unit of distinct_point_count is
-    multiplication by the first l_k = X + k*Y + k^2*Z, k = 0..2L, that maps
-    (R/I)_d onto (R/I)_(d+1).  A point lies on at most two lines l_k = 0, so
-    one of these 2L + 1 forms misses all L or fewer points.  `report` is
-    graded_quotient_report(gens) when the caller already has it.
+    In the degree d where graded_quotient_report stopped, (R/I)_d is the
+    coordinate algebra: I_d has maximal growth, so it generates a Gotzmann
+    ideal, and that ideal is d-regular.  The multiplication matrices come
+    from the first l_k = X + k*Y + k^2*Z, k = 0..2L, whose multiplication
+    maps (R/I)_d onto (R/I)_(d+1).  A point lies on at most two lines
+    l_k = 0, so one of these 2L + 1 forms misses all L or fewer points.
+    `report` is graded_quotient_report(gens) when the caller already has it.
     """
     if report is None:
         report = graded_quotient_report(gens)
-    assert report.dimension == 0, "support count needs a zero-dimensional scheme"
+    if report.dimension != 0:
+        raise InvalidInput("support count needs a zero-dimensional scheme")
     if report.length == 0:
         return 0
-    hf = report.hilbert
-    d = next(i for i, h in enumerate(hf) if all(x == report.length for x in hf[i:]))
-    order_d, free_d, _reduce_d = _quotient_basis(gens, d)
-    order_d1, free_d1, reduce_d1 = _quotient_basis(gens, d + 1)
-    assert len(free_d) == len(free_d1) == report.length
+    d = len(report.hilbert) - 2
+    order_d, order_d1 = monomial_order(d), monomial_order(d + 1)
+    free_d, _reduce_d = linalg.reducer(_span_rows(gens, d, order_d), len(order_d))
+    _free_d1, reduce_d1 = linalg.reducer(_span_rows(gens, d + 1, order_d1), len(order_d1))
     vars = gens[0].vars
     basis = [order_d[c] for c in free_d]
 
@@ -300,9 +302,9 @@ def support_count(gens, report=None):
     ops = [operator(HForm(1, {e: ONE}, vars)) for e in monomial_order(1)]
     for k in range(2 * report.length + 1):
         unit = [[x + k * y + k * k * z for x, y, z in zip(*rows)] for rows in zip(*ops)]
-        count = distinct_point_count(unit, ops, basis)
-        if count is not None:
-            return count
+        mats = multiplication_matrices(unit, ops)
+        if mats is not None:
+            return distinct_point_count(mats, basis)
     raise GenericityFailure("no form X + k*Y + k^2*Z is a unit on the quotient")
 
 

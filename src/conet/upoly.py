@@ -47,12 +47,6 @@ def pmul(p, q):
     return trim(out)
 
 
-def pscale(p, c):
-    if not c:
-        return []
-    return [x * c for x in p]
-
-
 def pdivmod(p, q):
     q = trim(q)
     if not q:

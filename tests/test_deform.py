@@ -10,6 +10,7 @@ from conet.deform import (
     amul,
     avar,
     build_1r2,
+    certified_algebra,
     graded_hilbert,
     stabilized_length,
     verify_deformation_1r2,
@@ -156,3 +157,35 @@ def test_deformation_clauses():
     for r, lams in ((4, [Scalar(2)]), (5, [Scalar(2), Scalar(3)])):
         report = verify_deformation_1r2(r, lams, ONE)
         assert all(c["pass"] for c in report["clauses"]), report
+
+
+def test_length_with_a_high_degree_generator():
+    # V(x^2 - x, y, x^5) is the single point (0, 0): x^5 - x lies in the
+    # ideal, so x does.  The truncated codimensions run 2, 2, 2, 2, 1, 1, ...,
+    # so three equal values at low bounds do not give the length.
+    x, y = avar(2, 0), avar(2, 1)
+    gens = [aadd(amul(x, x), {(1, 0): Scalar(-1)}), y, {(5, 0): ONE}]
+    assert stabilized_length(gens, 2) == 1
+    assert affine_support_count(gens, 2) == 1
+
+
+def test_certified_algebra_multiplies_by_the_variables():
+    # V(x^2 - 2, y): the matrix of x squares to 2 and that of y is zero
+    x, y = avar(2, 0), avar(2, 1)
+    basis, (mx, my) = certified_algebra([aadd(amul(x, x), {(0, 0): Scalar(-2)}), y], 2)
+    assert len(basis) == 2
+    assert linalg.mat_mul(mx, mx) == [[Scalar(2), ZERO], [ZERO, Scalar(2)]]
+    assert all(not v for row in my for v in row)
+
+
+def test_unit_ideal_has_length_zero():
+    x, y = avar(2, 0), avar(2, 1)
+    gens = [aadd(x, {(0, 0): ONE}), x, y]  # x + 1 and x give 1
+    assert stabilized_length(gens, 2) == 0
+    assert affine_support_count(gens, 2) == 0
+
+
+def test_positive_dimensional_ideal_is_not_certified():
+    # V(y) is a line: no degree bound gives a finite algebra
+    with pytest.raises(VerificationFailure):
+        stabilized_length([avar(2, 1)], 2)

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import conet
 from conet import linalg
-from conet.errors import NotThreeDimensional
-from conet.forms import parse_form
+from conet.errors import InvalidInput, NotThreeDimensional
+from conet.forms import HForm, monomial_order, parse_form
 from conet.scalar import ONE, ZERO, Scalar
 from conet.spaces import (
     LinearSystem,
@@ -117,3 +123,63 @@ def test_orthogonal_complement_involution():
 def test_orthogonal_complement_dimension():
     comp = orthogonal_complement(net("X^2", "Y^2"))
     assert comp.dimension == 4
+
+
+def test_graded_quotient_with_a_high_degree_generator():
+    # h = (1, 3, 3, 3, 3, 2, 2, ...): X^5 removes the point (1:0:0) from the
+    # three coordinate points only in degree 5, after four equal values
+    gens = [parse_form(s) for s in ("X*Y", "X*Z", "Y*Z", "X^5")]
+    rep = graded_quotient_report(gens)
+    assert (rep.dimension, rep.length) == (0, 2)
+    assert support_count(gens, rep) == 2
+
+
+def _standard_monomials(exps, d):
+    """Monomials of degree d divisible by none of the exponent tuples."""
+    return sum(
+        1
+        for m in monomial_order(d)
+        if not any(all(a >= b for a, b in zip(m, e)) for e in exps)
+    )
+
+
+monomial_exponents = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: 1 <= sum(e) <= 3)
+
+
+@given(st.lists(monomial_exponents, min_size=1, max_size=4, unique=True))
+@example([(1, 0, 0), (0, 1, 0), (0, 0, 3)])  # h = (1, 1, 1, 0, ...): empty
+@settings(max_examples=200, deadline=None)
+def test_graded_quotient_report_on_monomial_ideals(exps):
+    # A monomial ideal's Hilbert function counts its standard monomials, and
+    # from degree deg lcm(generators) - 2 <= 7 on it is a polynomial in d
+    # (inclusion-exclusion over the lcms), so degrees 12 and 13 give the
+    # dimension and the length.
+    rep = graded_quotient_report([HForm(sum(e), {e: ONE}) for e in exps])
+    high, higher = _standard_monomials(exps, 12), _standard_monomials(exps, 13)
+    if high == higher:
+        assert (rep.dimension, rep.length) == (0, high)
+    else:
+        assert (rep.dimension, rep.length) == (1, None)
+
+
+def test_support_count_rejects_a_curve():
+    with pytest.raises(InvalidInput):
+        support_count([parse_form("X^2"), parse_form("X*Y")])
+
+
+def test_support_count_rejects_a_curve_without_asserts():
+    # the check must survive python -O, which strips assert statements
+    code = (
+        "from conet.errors import InvalidInput\n"
+        "from conet.forms import parse_form\n"
+        "from conet.spaces import support_count\n"
+        "try:\n"
+        "    support_count([parse_form('X^2'), parse_form('X*Y')])\n"
+        "except InvalidInput:\n"
+        "    print('InvalidInput')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(conet.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert done.stdout == "InvalidInput\n", done.stderr
