@@ -121,8 +121,8 @@ def _net_label_and_gamma(net):
         delta = support_count(minors, delta_report)
     if gtype.kind == "Zero":
         if delta_report.dimension == 1:
-            return "2b", gtype, delta, None
-        return "2a", gtype, delta, None
+            return "2b", gtype, delta
+        return "2a", gtype, delta
     if delta is None:
         raise InconsistentConfiguration("positive-dimensional rank-one locus with nonzero discriminant")
     if gtype.kind == "ConcurrentLines":
@@ -137,32 +137,33 @@ def _net_label_and_gamma(net):
                 raise InconsistentConfiguration(
                     f"d/d{gamma.vars[i]} of the discriminant is not in the span of the minors"
                 )
-    key = None
     if (gtype.kind, delta) == ("DoubleLinePlusLine", 2):
         dim = orbit_dimension(net)
         if dim == 6:
-            return "6c", gtype, delta, None
+            return "6c", gtype, delta
         if dim == 5:
-            return "5b", gtype, delta, None
+            return "5b", gtype, delta
         raise InconsistentConfiguration(f"double-line discriminant with orbit dim {dim}")
     label = _NET_TABLE.get((gtype.kind, delta))
     if label is None:
         raise InconsistentConfiguration(f"({gtype.kind}, {delta}) matches no orbit")
-    if label == "8b":
-        pre = jacobian_preimage(net)
-        if pre.dimension != 1:
-            raise InconsistentConfiguration("smooth discriminant without a unique preimage cubic")
-        key = aronhold(pre.canonical_forms()[0]).key
-    return label, gtype, delta, key
+    return label, gtype, delta
 
 
 def classify_net(net):
-    """Full orbit report of a net of conics."""
-    label, gtype, delta, key = _net_label_and_gamma(net)
+    """Full orbit report of a net of conics.  On 8b the key is the Aronhold
+    key of the net's one Jacobian-preimage cubic."""
+    label, gtype, delta = _net_label_and_gamma(net)
+    pre = jacobian_preimage(net)
+    key = None
+    if label == "8b":
+        if pre.dimension != 1:
+            raise InconsistentConfiguration("smooth discriminant without a unique preimage cubic")
+        key = aronhold(pre.canonical_forms()[0]).key
     base = graded_quotient_report(net.forms)
     length = None if base.dimension == 1 else base.length
     dual_net = orthogonal_complement(net)
-    dual_label, _g, _d, _k = _net_label_and_gamma(dual_net)
+    dual_label, _g, _d = _net_label_and_gamma(dual_net)
     return NetReport(
         orbit=label,
         gamma=gtype,
@@ -170,7 +171,7 @@ def classify_net(net):
         orbit_dim=orbit_dimension(net),
         scheme_length=length,
         dual=dual_label,
-        preimage_dim=jacobian_preimage(net).dimension,
+        preimage_dim=pre.dimension,
         key=key,
     )
 
@@ -199,7 +200,7 @@ def dual_pairs_check(corpus):
     expected involution.  corpus: mapping label -> LinearSystem."""
     out = []
     for label, net in corpus.items():
-        got, _g, _d, _k = _net_label_and_gamma(orthogonal_complement(net))
+        got, _g, _d = _net_label_and_gamma(orthogonal_complement(net))
         if got != EXPECTED_DUALS[label]:
             raise DualityMismatch(f"dual of {label} classified as {got}")
         out.append((label, got))

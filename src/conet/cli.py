@@ -92,9 +92,6 @@ def _parser():
         "subject", choices=sorted({s for _, s in COMMANDS})
     )
     p.add_argument("--file", help="input JSON file (a form or a linear system)")
-    p.add_argument(
-        "--seed", type=int, default=0, help="accepted and ignored: no command draws random numbers"
-    )
     p.add_argument("--lambda", dest="lam", default=None, help="scalar parameter")
     p.add_argument("--t", default=None, help="deformation parameter (scalar)")
     p.add_argument(

@@ -1,18 +1,36 @@
 """Ternary cubics: Hessians, Aronhold invariants, singularity types,
 Jacobian nets and preimages, Hesse-pencil utilities, apolar ideals.
 
-The degree-4 and degree-6 invariants S and T are built once, symbolically,
-as polynomials in the 10 coefficients of a generic cubic: S is the full
-epsilon-bracket contraction of four copies of the symmetric coefficient
-tensor, and T is the polarization of S with the Hessian tensor in one slot.
-Both are cached and evaluated per cubic afterwards.
+The Aronhold invariants S (degree 4) and T (degree 6) are read off two
+polarizations of the Hessian determinant.  Let A be the Hessian matrix of a
+cubic f (its entries are linear forms), H = det A, and B the Hessian matrix
+of H.  Write P(a, b) for the t-coefficient of det(a + t*b), the sum over k
+of det(a with column k taken from b).  Then, identically in the
+coefficients of f,
+
+    P(A, B) = 648*S*f,        P(B, A) = 324*T*f - 648*S*H.
+
+Proof.  Under a substitution f -> f(g x), A -> g^T A(g x) g, so
+H -> det(g)^2 H(g x) and B -> det(g)^2 g^T B(g x) g.  P(A, B) is therefore a
+covariant of order 3 and degree 5 in the coefficients, and of weight 4;
+P(B, A) is one of order 3, degree 7 and weight 6.  The covariants of the
+ternary cubic are generated by S, T, f, H and two covariants of orders 6
+and 9 (Salmon, Higher Plane Curves; Dolgachev, Classical Algebraic
+Geometry, sec. 3.2), so one of order 3 is c*f + d*H with invariants c and
+d of degrees 4 and 2 (resp. 6 and 4).  There is no invariant of degree 2,
+and S and T generate the invariants, so the two identities hold up to the
+three constants.  S and T are normalized by their values on the Hesse
+pencil f = X^3 + Y^3 + Z^3 + 3*lam*XYZ, S = -12*lam + (3/2)*lam^4 and
+T = -864 + 2160*lam^3 + 108*lam^6; the Hessian of a member stays in the
+pencil, and comparing coefficients there gives the three constants.
+The discriminant is a multiple of T^2 - 3456*S^3: the constant is T^2/S^3
+on the triangle X^3 + Y^3 + Z^3 - 3XYZ (lam = -1, S = 27/2, T = -2916).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 
 from . import linalg
@@ -27,186 +45,19 @@ from .spaces import (
 from .upoly import binary_pattern
 
 CUBIC_MONOMIALS = monomial_order(3)
-_MON_INDEX = {e: i for i, e in enumerate(CUBIC_MONOMIALS)}
 
 
-def _sign(p):
-    s = 1
-    p = list(p)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                s = -s
-    return s
+def _hessian_matrix(f):
+    return [[f.diff(i).diff(j) for j in range(3)] for i in range(3)]
 
 
-_EPS = [(p, _sign(p)) for p in permutations(range(3))]
-
-
-def _tensor_slot(p, q, r):
-    """Exponent triple and symmetrization factor for tensor index (p,q,r)."""
-    e = [0, 0, 0]
-    for t in (p, q, r):
-        e[t] += 1
-    f = Fraction(factorial(e[0]) * factorial(e[1]) * factorial(e[2]), 6)
-    return tuple(e), f
-
-
-# ---------------------------------------------------------------------------
-# symbolic polynomials in the 10 generic cubic coefficients
-# ---------------------------------------------------------------------------
-
-
-def _sym_acc(poly, mono, coeff):
-    if coeff:
-        cur = poly.get(mono)
-        new = coeff if cur is None else cur + coeff
-        if new:
-            poly[mono] = new
-        elif cur is not None:
-            del poly[mono]
-
-
-def _sym_mul(p, q):
-    out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            _sym_acc(out, m, c1 * c2)
-    return out
-
-
-def _mono10(exps):
-    v = [0] * 10
-    for e in exps:
-        v[_MON_INDEX[e]] += 1
-    return tuple(v)
-
-
-def _generic_hessian():
-    """Coefficients of Hess(G) for a generic cubic G, as symbolic polys."""
-    # symbolic trivariate form: dict exp3 -> sym poly
-    g = {}
-    for e in CUBIC_MONOMIALS:
-        mono = [0] * 10
-        mono[_MON_INDEX[e]] = 1
-        g[e] = {tuple(mono): Fraction(1)}
-
-    def diff(form, i):
-        out = {}
-        for e, sym in form.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = {m: c * e[i] for m, c in sym.items()}
-        return out
-
-    def mul(f1, f2):
-        out = {}
-        for e1, s1 in f1.items():
-            for e2, s2 in f2.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                prod = _sym_mul(s1, s2)
-                tgt = out.setdefault(e, {})
-                for m, c in prod.items():
-                    _sym_acc(tgt, m, c)
-        return {e: s for e, s in out.items() if s}
-
-    def sub(f1, f2):
-        out = {e: dict(s) for e, s in f1.items()}
-        for e, s in f2.items():
-            tgt = out.setdefault(e, {})
-            for m, c in s.items():
-                _sym_acc(tgt, m, -c)
-        return {e: s for e, s in out.items() if s}
-
-    d2 = [[diff(diff(g, i), j) for j in range(3)] for i in range(3)]
-    a = mul(d2[0][0], sub(mul(d2[1][1], d2[2][2]), mul(d2[1][2], d2[2][1])))
-    b = mul(d2[0][1], sub(mul(d2[1][0], d2[2][2]), mul(d2[1][2], d2[2][0])))
-    c = mul(d2[0][2], sub(mul(d2[1][0], d2[2][1]), mul(d2[1][1], d2[2][0])))
-    return sub(a, sub(b, c))
-
-
-_CACHE = {}
-
-
-def _invariant_polys():
-    """The cached pair (S_poly, T_poly) over the generic coefficients."""
-    if "ST" in _CACHE:
-        return _CACHE["ST"]
-    hess = _generic_hessian()
-    hess_tensor = {}
-    for p in range(3):
-        for q in range(3):
-            for r in range(3):
-                e, f = _tensor_slot(p, q, r)
-                sym = hess.get(e, {})
-                hess_tensor[(p, q, r)] = {m: c * f for m, c in sym.items()}
-    s_poly = {}
-    t_poly = {}
-    for b1, s1 in _EPS:
-        for b2, s2 in _EPS:
-            for b3, s3 in _EPS:
-                for b4, s4 in _EPS:
-                    sgn = s1 * s2 * s3 * s4
-                    slots = [
-                        (b1[0], b2[0], b3[0]),
-                        (b1[1], b2[1], b4[0]),
-                        (b1[2], b3[1], b4[1]),
-                        (b2[2], b3[2], b4[2]),
-                    ]
-                    infos = [_tensor_slot(*slot) for slot in slots]
-                    coeff = Fraction(sgn)
-                    for _e, f in infos:
-                        coeff *= f
-                    _sym_acc(s_poly, _mono10([e for e, _f in infos]), coeff)
-                    for k in range(4):
-                        rest = [infos[i] for i in range(4) if i != k]
-                        base = _mono10([e for e, _f in rest])
-                        cc = Fraction(sgn)
-                        for _e, f in rest:
-                            cc *= f
-                        for m, hc in hess_tensor[slots[k]].items():
-                            _sym_acc(
-                                t_poly,
-                                tuple(a + b for a, b in zip(base, m)),
-                                cc * hc,
-                            )
-    assert s_poly and t_poly
-    _CACHE["ST"] = (s_poly, t_poly)
-    return _CACHE["ST"]
-
-
-def _eval_sym(poly, vec):
-    out = ZERO
-    for mono, coeff in poly.items():
-        t = Scalar(coeff)
-        for i, e in enumerate(mono):
-            if e:
-                t = t * vec[i] ** e
-        out = out + t
-    return out
-
-
-def _coeff_vec(f):
-    return [f.coeff(e) for e in CUBIC_MONOMIALS]
-
-
-def _calibration():
-    """c with T^2 = c * S^3 exactly on cubics with vanishing discriminant."""
-    if "CAL" in _CACHE:
-        return _CACHE["CAL"]
-    tri = HForm(
-        3,
-        {(3, 0, 0): ONE, (0, 3, 0): ONE, (0, 0, 3): ONE, (1, 1, 1): Scalar(-3)},
+def _polar_det(a, b):
+    """The t-coefficient of det(a + t*b) for 3x3 matrices of forms."""
+    d0, d1, d2 = (
+        form_det3([[b[i][j] if j == k else a[i][j] for j in range(3)] for i in range(3)])
+        for k in range(3)
     )
-    s_poly, t_poly = _invariant_polys()
-    vec = _coeff_vec(tri)
-    s = _eval_sym(s_poly, vec)
-    t = _eval_sym(t_poly, vec)
-    assert s and t
-    _CACHE["CAL"] = (t * t) / (s * s * s)
-    return _CACHE["CAL"]
+    return d0 + d1 + d2
 
 
 @dataclass(frozen=True)
@@ -221,15 +72,17 @@ def aronhold(f):
     """Degree-4 and degree-6 invariants of a ternary cubic.
 
     key is the projective pair (S^3 : T^2) with first nonzero entry 1;
-    disc_zero tests the calibrated discriminant relation.
+    disc_zero tests T^2 = 3456*S^3, the vanishing of the discriminant.
     """
     if f.is_zero():
         raise ZeroForm("invariants of the zero cubic")
     assert f.degree == 3
-    s_poly, t_poly = _invariant_polys()
-    vec = _coeff_vec(f)
-    s = _eval_sym(s_poly, vec)
-    t = _eval_sym(t_poly, vec)
+    a = _hessian_matrix(f)
+    h = form_det3(a)
+    b = _hessian_matrix(h)
+    e, c = next(iter(f.coeffs.items()))
+    s = _polar_det(a, b).coeff(e) / (Scalar(648) * c)
+    t = (_polar_det(b, a).coeff(e) + Scalar(648) * s * h.coeff(e)) / (Scalar(324) * c)
     s3 = s * s * s
     t2 = t * t
     if s3:
@@ -238,15 +91,13 @@ def aronhold(f):
         key = (ZERO, ONE)
     else:
         key = (ZERO, ZERO)
-    disc_zero = t2 == _calibration() * s3
-    return AronholdReport(s, t, key, disc_zero)
+    return AronholdReport(s, t, key, t2 == Scalar(3456) * s3)
 
 
 def hessian_cubic(f):
     """Determinant of the matrix of second partials."""
     assert f.degree == 3
-    d2 = [[f.diff(i).diff(j) for j in range(3)] for i in range(3)]
-    return form_det3(d2)
+    return form_det3(_hessian_matrix(f))
 
 
 @dataclass(frozen=True)

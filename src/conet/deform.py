@@ -500,11 +500,14 @@ def verify_deformation_1r2(r, lambdas, t, strict=False):
     basis_t, mats_t = certified_algebra(gens_t, nv)
     len_t = len(basis_t)
     _n0, gens_0 = _generators_1r2(r, lam, ZERO)
-    len_0 = stabilized_length(gens_0, nv)
+    # gens_0 is homogeneous, so h(3) = 0 puts every cubic monomial, and with
+    # it every monomial of higher degree, in the ideal: the length is then
+    # h(0) + ... + h(3).  Otherwise the length is not read here (None).
+    hf0 = graded_hilbert(gens_0, nv, 3)
+    len_0 = sum(hf0) if hf0[3] == 0 else None
     clauses.append(
         _clause("length-conserved", len_0 == len_t == r + 3, f"t=0: {len_0}, t!=0: {len_t}")
     )
-    hf0 = graded_hilbert(gens_0, nv, 3)
     clauses.append(_clause("graded-hf-at-t0", hf0 == (1, r, 2, 0), f"hf={hf0}"))
     if t:
         support = distinct_point_count(mats_t, basis_t)

@@ -331,22 +331,6 @@ def conic_matrix(f):
     return [[a, d, g], [d, b, e], [g, e, c]]
 
 
-def conic_from_matrix(m, vars=("X", "Y", "Z")):
-    two = Scalar(2)
-    return HForm(
-        2,
-        {
-            (2, 0, 0): m[0][0],
-            (0, 2, 0): m[1][1],
-            (0, 0, 2): m[2][2],
-            (1, 1, 0): m[0][1] * two,
-            (0, 1, 1): m[1][2] * two,
-            (1, 0, 1): m[0][2] * two,
-        },
-        vars,
-    )
-
-
 def form_det3(m):
     """Determinant of a 3x3 matrix whose entries are HForms."""
     return (

@@ -94,9 +94,6 @@ class Scalar:
         """Field norm to Q: self * conj(self), as a Fraction."""
         return self.a * self.a - self.a * self.b + self.b * self.b
 
-    def is_rational(self):
-        return self.b == 0
-
     def __str__(self):
         if self.b == 0:
             return str(self.a)

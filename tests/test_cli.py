@@ -32,7 +32,7 @@ def hesse_file(tmp_path):
 
 
 def test_classify_net(hesse_file, capsys):
-    code, out = run_cli(["classify", "net", "--file", hesse_file, "--seed", "0"], capsys)
+    code, out = run_cli(["classify", "net", "--file", hesse_file], capsys)
     assert code == 0
     data = json.loads(out)
     assert data["orbit"] == "8b"
@@ -41,7 +41,7 @@ def test_classify_net(hesse_file, capsys):
 
 
 def test_determinism(hesse_file, capsys):
-    argv = ["classify", "net", "--file", hesse_file, "--seed", "0"]
+    argv = ["classify", "net", "--file", hesse_file]
     _, first = run_cli(argv, capsys)
     _, second = run_cli(argv, capsys)
     assert first == second
@@ -99,6 +99,13 @@ def test_missing_file(capsys):
 
 def test_bad_arguments(capsys):
     assert main(["classify", "everything"]) == 3
+
+
+def test_seed_is_an_unknown_flag(hesse_file, capsys):
+    # no command draws random numbers, so there is no seed to set
+    code, out = run_cli(["classify", "net", "--file", hesse_file, "--seed", "7"], capsys)
+    assert code == 3
+    assert out == ""
 
 
 def test_gamma_and_dual(hesse_file, capsys):

@@ -1,8 +1,13 @@
 import random
 from fractions import Fraction
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from conet import linalg
 from conet.cubics import (
+    _hessian_matrix,
+    _polar_det,
     apolar_generators,
     aronhold,
     classify_cubic,
@@ -16,7 +21,7 @@ from conet.cubics import (
     jacobian_preimage,
     preimage_dimension,
 )
-from conet.forms import parse_form
+from conet.forms import HForm, form_det3, parse_form
 from conet.scalar import ONE, W, ZERO, Scalar
 from conet.spaces import LinearSystem
 
@@ -82,6 +87,43 @@ def test_discriminant_vanishing():
         assert aronhold(parse_form(text)).disc_zero
     for text in SMOOTH_EXAMPLES:
         assert not aronhold(parse_form(text)).disc_zero
+
+
+def test_aronhold_on_the_hesse_pencil():
+    # absolute values, not only up to scale
+    for lam in (ZERO, ONE, -ONE, Scalar(3), Scalar(Fraction(2, 7)), Scalar(2, 1)):
+        rep = aronhold(hesse_cubic(lam))
+        assert rep.S == Scalar(-12) * lam + Scalar(Fraction(3, 2)) * lam**4
+        assert rep.T == Scalar(-864) + Scalar(2160) * lam**3 + Scalar(108) * lam**6
+
+
+small = st.integers(min_value=-3, max_value=3)
+qw_entries = st.one_of(
+    st.just(ZERO),
+    st.builds(Scalar, small, small),
+    st.builds(lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)), small, small, st.integers(1, 4)),
+)
+dense_cubics = st.lists(qw_entries, min_size=10, max_size=10).map(
+    lambda v: HForm.from_coeff_vector(3, v)
+)
+# binary cubics in X, Y pulled back along any matrix: cones, H = 0
+cones = st.builds(
+    lambda v, g: HForm(3, {(3 - k, k, 0): c for k, c in enumerate(v)}).substitute(g),
+    st.lists(qw_entries, min_size=4, max_size=4),
+    st.lists(st.lists(qw_entries, min_size=3, max_size=3), min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(dense_cubics, cones))
+def test_polarized_hessian_identities(f):
+    assume(f)
+    rep = aronhold(f)
+    a = _hessian_matrix(f)
+    h = form_det3(a)
+    b = _hessian_matrix(h)
+    assert _polar_det(a, b) == f.scale(Scalar(648) * rep.S)
+    assert _polar_det(b, a) == f.scale(Scalar(324) * rep.T) - h.scale(Scalar(648) * rep.S)
 
 
 def test_key_separates_harmonic_and_equianharmonic():

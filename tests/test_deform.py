@@ -128,7 +128,7 @@ def test_quadratic_syzygy_gram_is_positive_definite():
     assert len(syz.kernel) == 20
     for k in syz.kernel:
         assert len(k) == 2 and all(x in (ONE, -ONE) for x in k.values())
-    assert all(x.is_rational() for row in syz.gram for x in row)
+    assert all(x.b == 0 for row in syz.gram for x in row)
     # Sylvester's criterion, as positive pivots of elimination without swaps
     g = [[x.a for x in row] for row in syz.gram]
     for i in range(len(g)):
